@@ -40,12 +40,16 @@ from .latentsort import (
     train,
 )
 from .metrics import ehd, emd, set_prf, size_diff
-from .sorters import KEY_SCHEMES, SCHEME_NAMES
+from .sorters import KEY_SCHEMES
 from .tspbench import BenchConfig, run_tsp_benchmark
 
 
 class UsageError(Exception):
     pass
+
+
+# schemes that order a token set; the traversal sorts need a graph
+SORT_SCHEMES = sorted(KEY_SCHEMES) + ["latent"]
 
 
 def _sort_fn(scheme: str, model_path: str | None):
@@ -54,12 +58,9 @@ def _sort_fn(scheme: str, model_path: str | None):
             raise UsageError("--model is required with --scheme latent")
         model = load_model(model_path)
         return lambda ts: latent_sort(model, ts)
-    if scheme in KEY_SCHEMES:
-        if model_path:
-            raise UsageError("--model only applies to --scheme latent")
-        return KEY_SCHEMES[scheme]
-    raise UsageError(f"scheme {scheme!r} does not sort token sets; choose one of "
-                     f"{sorted(KEY_SCHEMES) + ['latent']}")
+    if model_path:
+        raise UsageError("--model only applies to --scheme latent")
+    return KEY_SCHEMES[scheme]
 
 
 def cmd_sort(args) -> int:
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("sort", help="order token sets with a named scheme")
-    s.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
+    s.add_argument("--scheme", required=True, choices=SORT_SCHEMES)
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--model")
     s.add_argument("--out", required=True)
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("analyze", help="ambiguity sets and error report")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--scheme", required=True, choices=SCHEME_NAMES)
+    s.add_argument("--scheme", required=True, choices=SORT_SCHEMES)
     s.add_argument("--model")
     s.add_argument("--report", required=True)
     s.set_defaults(fn=cmd_analyze)

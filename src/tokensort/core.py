@@ -81,11 +81,13 @@ class TokenSet:
 @dataclass(frozen=True)
 class SortedSequence:
     """An ordered arrangement of a token set, with the optional 1-D sort keys
-    that produced the order (non-decreasing when present)."""
+    that produced the order (non-decreasing when present) and the optional
+    permutation that produced it: rows == original_values[order]."""
 
     rows: np.ndarray
     keys: np.ndarray | None = None
     raw_keys: np.ndarray | None = None
+    order: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _as_matrix(self.rows, "SortedSequence"))
@@ -100,6 +102,12 @@ class SortedSequence:
                 object.__setattr__(self, name, k)
         if self.keys is not None and np.any(np.diff(self.keys) < 0):
             raise ValueError("keys must be non-decreasing")
+        if self.order is not None:
+            order = np.array(self.order, dtype=np.intp)
+            if not np.array_equal(np.sort(order), np.arange(self.rows.shape[0])):
+                raise ValueError(f"order must be a permutation of range({self.rows.shape[0]})")
+            order.flags.writeable = False
+            object.__setattr__(self, "order", order)
 
     @property
     def size(self) -> int:
@@ -188,7 +196,7 @@ def swap_endpoints(seq: SortedSequence) -> SortedSequence:
         raise ValueError(f"swap_endpoints requires even token dimension, got {n}")
     half = n // 2
     swapped = np.concatenate([seq.rows[:, half:], seq.rows[:, :half]], axis=1)
-    return SortedSequence(swapped, keys=seq.keys, raw_keys=seq.raw_keys)
+    return SortedSequence(swapped, keys=seq.keys, raw_keys=seq.raw_keys, order=seq.order)
 
 
 # ---------------------------------------------------------------------------

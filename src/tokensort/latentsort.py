@@ -153,7 +153,7 @@ def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:
         norm = (sorted_raw - sorted_raw[0]) / span
     else:
         norm = np.zeros_like(sorted_raw)
-    return SortedSequence(x.values[order], keys=norm, raw_keys=sorted_raw)
+    return SortedSequence(x.values[order], keys=norm, raw_keys=sorted_raw, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,58 @@ def _lgp_pairs(m: int, literal_endpoints: bool) -> range:
     return range(0, m - 1)
 
 
+def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
+                literal_endpoints: bool):
+    """LGP of B sets of M tokens each, already sorted by latent.
+
+    xs: (B, M, N) tokens, hs: (B, M) latents, both in ascending-latent order.
+    Returns per-set losses (B,) and gradients w.r.t. hs (B, M), equal bit for
+    bit to evaluating lgp_terms' formula pair by pair: distances are the BLAS
+    dot products a 1-D np.linalg.norm takes, and each set's terms are added
+    in pair order.
+    """
+    b, m = hs.shape
+    pairs = _lgp_pairs(m, literal_endpoints)
+    lo, hi = pairs.start, max(pairs.stop, pairs.start)
+    diff = xs[:, lo:hi] - xs[:, lo + 1 : hi + 1]
+    d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+    h_left, h_right = hs[:, lo:hi], hs[:, lo + 1 : hi + 1]
+    denom = np.abs(h_left - h_right) + beta
+    g = d / denom - alpha
+    loss = np.zeros(b)
+    for term in (2.0 * g * g).T:  # ndarray.sum would switch to pairwise summation
+        loss += term
+    # d(2 g^2)/ds, chained through s = |h_i - h_{i+1}|
+    dl_ds = -4.0 * g * d / (denom * denom)
+    dl_dh = np.where(h_left >= h_right, dl_ds, -dl_ds)
+    grad_h = np.zeros((b, m))
+    grad_h[:, lo:hi] += dl_dh
+    grad_h[:, lo + 1 : hi + 1] -= dl_dh
+    return loss, grad_h
+
+
+def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int], cfg: TrainConfig):
+    """LGP of consecutive token sets of the given sizes in x (T, N) with
+    latents h (T,). Each set is ranked by a stable argsort of its latents and
+    only consecutive pairs of that order are penalized. Sets are batched by
+    size. Returns the sum of the set losses, added in set order, and the
+    gradient w.r.t. h (T,).
+    """
+    starts = np.cumsum([0] + sizes[:-1])
+    buckets: dict[int, list[int]] = {}
+    for k, msize in enumerate(sizes):
+        buckets.setdefault(msize, []).append(k)
+    losses = np.zeros(len(sizes))
+    grad_h = np.zeros_like(h)
+    for msize, members in buckets.items():
+        rows = starts[members][:, None] + np.arange(msize)
+        order = np.argsort(h[rows], axis=1, kind="stable")
+        rows = np.take_along_axis(rows, order, axis=1)
+        losses[members], grad_h[rows] = _lgp_sorted(x[rows], h[rows], cfg.alpha, cfg.beta,
+                                                    cfg.lgp_literal_endpoints)
+    return float(np.cumsum(losses)[-1]), grad_h  # cumsum adds in order; sum() would not
+
+
 def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: float,
               literal_endpoints: bool = False):
     """Loss and gradient w.r.t. the sorted latents.
@@ -196,23 +248,11 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
     gaps well below it all cost about the same, so a pair at distance d on a
     tied latent scores at most 2 * (d / beta - alpha)^2. The penalty is zero
     at gap d / alpha - beta, and pairs closer than alpha * beta are drawn
-    together rather than apart.
+    together rather than apart. Training evaluates the same terms batched, in
+    _lgp_sorted.
     """
-    m = x_sorted.shape[0]
-    grad_h = np.zeros(m)
-    loss = 0.0
-    for i in _lgp_pairs(m, literal_endpoints):
-        d = float(np.linalg.norm(x_sorted[i] - x_sorted[i + 1]))
-        s = float(abs(h_sorted[i] - h_sorted[i + 1]))
-        denom = s + beta
-        g = d / denom - alpha
-        loss += 2.0 * g * g
-        # d(2 g^2)/ds, chained through s = |h_i - h_{i+1}|
-        dl_ds = -4.0 * g * d / (denom * denom)
-        sign = 1.0 if h_sorted[i] >= h_sorted[i + 1] else -1.0
-        grad_h[i] += dl_ds * sign
-        grad_h[i + 1] -= dl_ds * sign
-    return loss, grad_h
+    loss, grad_h = _lgp_sorted(x_sorted[None], h_sorted[None], alpha, beta, literal_endpoints)
+    return float(loss[0]), grad_h[0]
 
 
 def lgp_loss(x_sorted: SortedSequence, alpha: float = 1.0, beta: float = LGP_BETA,
@@ -287,21 +327,7 @@ def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: Trai
     recon, grad_xhat = reconstruction_loss(x, x_hat, cfg.recon_kind)
     grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat)
 
-    h = h_col[:, 0]
-    grad_h_lgp = np.zeros_like(h)
-    lgp_total = 0.0
-    offset = 0
-    for s in sets:
-        msize = s.shape[0]
-        hs = h[offset : offset + msize]
-        order = np.argsort(hs, kind="stable")
-        loss, gh_sorted = lgp_terms(s[order], hs[order], cfg.alpha, cfg.beta,
-                                    cfg.lgp_literal_endpoints)
-        lgp_total += loss
-        gh = np.zeros(msize)
-        gh[order] = gh_sorted
-        grad_h_lgp[offset : offset + msize] = gh
-        offset += msize
+    lgp_total, grad_h_lgp = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
     lgp_mean = lgp_total / len(sets)
 
     grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
@@ -317,16 +343,7 @@ def total_loss(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig) -> 
     h_col, _ = m.encoder.forward(x)
     x_hat, _ = m.decoder.forward(h_col)
     recon, _ = reconstruction_loss(x, x_hat, cfg.recon_kind)
-    h = h_col[:, 0]
-    lgp_total = 0.0
-    offset = 0
-    for s in sets:
-        msize = s.shape[0]
-        hs = h[offset : offset + msize]
-        order = np.argsort(hs, kind="stable")
-        loss, _ = lgp_terms(s[order], hs[order], cfg.alpha, cfg.beta, cfg.lgp_literal_endpoints)
-        lgp_total += loss
-        offset += msize
+    lgp_total, _ = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
     return recon + cfg.lgp_coefficient * lgp_total / len(sets)
 
 

@@ -25,7 +25,7 @@ def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
     """Stable ascending sort of the tokens by scalar keys."""
     keys = np.asarray(keys, dtype=np.float64)
     order = np.argsort(keys, kind="stable")
-    return SortedSequence(x.values[order], keys=keys[order], raw_keys=keys[order])
+    return SortedSequence(x.values[order], keys=keys[order], raw_keys=keys[order], order=order)
 
 
 def mean_squared_keys(values: np.ndarray) -> np.ndarray:
@@ -41,7 +41,7 @@ def mean_squared_sort(x: TokenSet) -> SortedSequence:
 def lexicographical_sort(x: TokenSet) -> SortedSequence:
     """Ascending order by first dimension, then second on ties, and so on."""
     order = np.lexsort(x.values.T[::-1])
-    return SortedSequence(x.values[order])
+    return SortedSequence(x.values[order], order=order)
 
 
 def principal_direction(values: np.ndarray) -> np.ndarray | None:
@@ -178,5 +178,3 @@ KEY_SCHEMES = {
     "lex": lexicographical_sort,
     "svd": svd_lowrank_sort,
 }
-TRAVERSAL_SCHEMES = {"bfs": bfs_sort, "dfs": dfs_sort}
-SCHEME_NAMES = sorted(KEY_SCHEMES) + sorted(TRAVERSAL_SCHEMES) + ["latent"]

@@ -7,7 +7,9 @@ length-sorting scores close to 1.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,12 +19,25 @@ from .core import TokenSet
 from .latentsort import TrainConfig, latent_sort, train
 
 MAX_ENUM_POINTS = 10  # 10!/2 = 1.8M paths, still fine; beyond that refuse
+PATH_CHUNK = 4096  # paths scored per step; bounds the transient memory to ~1 MB
 
 
 def path_length(points: np.ndarray, order: np.ndarray | list[int] | None = None) -> float:
     """Total Euclidean length of the open path visiting points in order."""
     pts = points if order is None else points[np.asarray(order)]
     return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+
+
+@functools.lru_cache(maxsize=None)
+def _open_paths(m: int) -> np.ndarray:
+    """Every open path over m points once, as rows of an int8 table: the
+    permutations with p[0] <= p[-1], in lexicographic order. m = 10 takes
+    1.8M rows, 18 MB."""
+    count = math.factorial(m) // 2 if m > 1 else 1
+    flat = itertools.chain.from_iterable(p for p in itertools.permutations(range(m)) if p[0] <= p[-1])
+    paths = np.fromiter(flat, dtype=np.int8, count=count * m).reshape(count, m)
+    paths.flags.writeable = False
+    return paths
 
 
 def percentile_longer(points: np.ndarray, order: np.ndarray | list[int]) -> float:
@@ -32,25 +47,26 @@ def percentile_longer(points: np.ndarray, order: np.ndarray | list[int]) -> floa
     perm[0] < perm[-1], covering each undirected path exactly once. The
     reference is measured in that same orientation: summed in reverse, its
     length can differ from its enumerated twin's by an ulp, and the twin would
-    then count as strictly longer than itself.
+    then count as strictly longer than itself. Every length is summed edge by
+    edge from one distance matrix, exactly as path_length sums it.
     """
     m = len(points)
     if m > MAX_ENUM_POINTS:
         raise ValueError(f"refusing to enumerate paths for {m} > {MAX_ENUM_POINTS} points")
     if sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of range(len(points))")
+    order = np.asarray(order)
     if order[0] > order[-1]:
         order = order[::-1]
-    ref = path_length(points, order)
+    pts = np.asarray(points, dtype=np.float64)
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    ref = dist[order[:-1], order[1:]].sum()
+    paths = _open_paths(m)
     longer = 0
-    total = 0
-    for perm in itertools.permutations(range(m)):
-        if perm[0] > perm[-1]:
-            continue
-        total += 1
-        if path_length(points, perm) > ref:
-            longer += 1
-    return longer / total
+    for lo in range(0, len(paths), PATH_CHUNK):
+        chunk = paths[lo : lo + PATH_CHUNK]
+        longer += int(np.count_nonzero(dist[chunk[:, :-1], chunk[:, 1:]].sum(axis=1) > ref))
+    return longer / len(paths)
 
 
 @dataclass
@@ -93,9 +109,7 @@ def run_tsp_benchmark(cfg: BenchConfig) -> dict:
         run_cfg = replace(train_cfg, seed=train_cfg.seed + run)
         model, _ = train(train_sets, run_cfg)
         seq = latent_sort(model, eval_set)
-        # recover the permutation the sort applied
-        order = _order_of(eval_set.values, seq.rows)
-        percentiles[run] = percentile_longer(eval_set.values, order)
+        percentiles[run] = percentile_longer(eval_set.values, seq.order)
 
     return {
         "set_size": cfg.set_size,
@@ -107,18 +121,3 @@ def run_tsp_benchmark(cfg: BenchConfig) -> dict:
         "percentiles": percentiles.tolist(),
         "total_seconds": time.perf_counter() - t0,
     }
-
-
-def _order_of(original: np.ndarray, arranged: np.ndarray) -> np.ndarray:
-    """Permutation p with original[p] == arranged, resolving duplicates
-    left to right."""
-    m = len(original)
-    used = np.zeros(m, dtype=bool)
-    order = np.empty(m, dtype=int)
-    for i in range(m):
-        hit = np.where(~used & np.all(original == arranged[i], axis=1))[0]
-        if len(hit) == 0:
-            raise ValueError("arranged rows are not a permutation of the originals")
-        used[hit[0]] = True
-        order[i] = hit[0]
-    return order

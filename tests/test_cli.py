@@ -44,6 +44,14 @@ def test_sort_latent_requires_model(sets_file, tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+def test_sort_rejects_traversal_schemes(sets_file, tmp_path, capsys):
+    for cmd, out in (("sort", "--out"), ("analyze", "--report")):
+        for scheme in ("bfs", "dfs"):
+            rc = main([cmd, "--scheme", scheme, "--in", sets_file, out, str(tmp_path / "x")])
+            assert rc == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+
 def test_sort_missing_input(tmp_path, capsys):
     rc = main(["sort", "--scheme", "lex", "--in", str(tmp_path / "nope.jsonl"),
                "--out", str(tmp_path / "x.jsonl")])

@@ -43,6 +43,14 @@ def test_sorted_sequence_key_monotonicity_enforced():
         SortedSequence(np.zeros((2, 2)), keys=np.array([1.0, 0.0]))
 
 
+def test_sorted_sequence_order_must_be_permutation():
+    rows = np.arange(6.0).reshape(3, 2)
+    assert SortedSequence(rows, order=[2, 0, 1]).order.tolist() == [2, 0, 1]
+    for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            SortedSequence(rows, order=bad)
+
+
 def test_graph_canonical_edge_orientation():
     feats = np.array([[1.0, 0.0], [0.0, 0.0]])
     g = Graph(feats, ((0, 1),))

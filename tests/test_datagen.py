@@ -93,6 +93,17 @@ def test_delaunay_matches_bruteforce_small():
     assert tris == expected
 
 
+def test_delaunay_matches_scipy_in_general_position():
+    # hull slivers have circumcircles reaching far outside the hull; the
+    # super-triangle must stay outside them or the slivers are lost
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        pts = rng.uniform(size=(int(rng.integers(4, 40)), 2))
+        ref = sorted(tuple(sorted(t)) for t in spatial.Delaunay(pts).simplices.tolist())
+        assert delaunay(pts) == ref
+
+
 def _check_postconditions(g, cfg):
     n = len(g.node_features)
     for u, v in g.edges:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from tokensort import latentsort
 from tokensort.core import TokenSet
 from tokensort.latentsort import (
     AdamState,
     TrainConfig,
+    _lgp_batch,
+    _lgp_pairs,
     batch_losses_and_grads,
     encode_batch,
     init_model,
@@ -235,3 +238,126 @@ def test_model_version_rejected(tmp_path):
     p.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
         load_model(p)
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: the batched LGP against a per-pair loop oracle.
+# ---------------------------------------------------------------------------
+
+
+def _loop_lgp_terms(x_sorted, h_sorted, alpha, beta, literal_endpoints):
+    """The LGP pair by pair, distances by 1-D np.linalg.norm."""
+    m = x_sorted.shape[0]
+    grad_h = np.zeros(m)
+    loss = 0.0
+    for i in _lgp_pairs(m, literal_endpoints):
+        d = float(np.linalg.norm(x_sorted[i] - x_sorted[i + 1]))
+        s = float(abs(h_sorted[i] - h_sorted[i + 1]))
+        denom = s + beta
+        g = d / denom - alpha
+        loss += 2.0 * g * g
+        dl_ds = -4.0 * g * d / (denom * denom)
+        sign = 1.0 if h_sorted[i] >= h_sorted[i + 1] else -1.0
+        grad_h[i] += dl_ds * sign
+        grad_h[i + 1] -= dl_ds * sign
+    return loss, grad_h
+
+
+def _loop_lgp_batch(sets, h, alpha, beta, literal_endpoints):
+    """Sum of per-set losses in set order and the gradient w.r.t. h."""
+    grad_h = np.zeros_like(h)
+    total = 0.0
+    offset = 0
+    for s in sets:
+        msize = s.shape[0]
+        hs = h[offset : offset + msize]
+        order = np.argsort(hs, kind="stable")
+        loss, gh_sorted = _loop_lgp_terms(s[order], hs[order], alpha, beta, literal_endpoints)
+        total += loss
+        grad_h[offset + order] = gh_sorted
+        offset += msize
+    return total, grad_h
+
+
+def _loop_losses_and_grads(m, sets, cfg):
+    """batch_losses_and_grads with the LGP taken from the loop oracle."""
+    x = np.concatenate(sets, axis=0)
+    h_col, enc_acts = m.encoder.forward(x)
+    x_hat, dec_acts = m.decoder.forward(h_col)
+    recon, grad_xhat = reconstruction_loss(x, x_hat, cfg.recon_kind)
+    grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat)
+    lgp_total, grad_h_lgp = _loop_lgp_batch(sets, h_col[:, 0], cfg.alpha, cfg.beta,
+                                            cfg.lgp_literal_endpoints)
+    grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
+    _, enc_gw, enc_gb = m.encoder.backward(enc_acts, grad_h)
+    return recon, lgp_total / len(sets), enc_gw + enc_gb + dec_gw + dec_gb
+
+
+def _ragged_sets(rng, count, dim, snap=None):
+    """Sets of 1-28 tokens; snapping to a grid makes duplicate tokens, whose
+    latents tie exactly."""
+    sets = []
+    for _ in range(count):
+        s = rng.uniform(size=(int(rng.integers(1, 29)), dim))
+        sets.append(np.round(s * snap) / snap if snap else s)
+    return sets
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_lgp_batch_matches_loop_oracle(literal):
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        dim = int(rng.integers(1, 5))
+        sets = _ragged_sets(rng, int(rng.integers(1, 40)), dim, snap=(2 if trial % 3 == 0 else None))
+        sizes = [len(s) for s in sets]
+        h = rng.normal(size=sum(sizes))
+        if trial % 2:
+            h = np.round(h * 2) / 2  # exact latent ties between distinct tokens
+        cfg = TrainConfig(lgp_literal_endpoints=literal)
+        total, grad_h = _lgp_batch(np.concatenate(sets), h, sizes, cfg)
+        ref_total, ref_grad = _loop_lgp_batch(sets, h, cfg.alpha, cfg.beta, literal)
+        assert total == ref_total
+        assert np.array_equal(grad_h, ref_grad)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_lgp_terms_matches_loop_oracle(literal):
+    rng = np.random.default_rng(22)
+    for msize in range(1, 29):
+        x = rng.uniform(size=(msize, 4))
+        h = np.sort(np.round(rng.normal(size=msize) * 3) / 3)
+        loss, gh = lgp_terms(x, h, 1.0, 0.1, literal)
+        ref_loss, ref_gh = _loop_lgp_terms(x, h, 1.0, 0.1, literal)
+        assert loss == ref_loss
+        assert np.array_equal(gh, ref_gh)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_batch_losses_and_grads_match_loop_oracle(literal):
+    rng = np.random.default_rng(23)
+    cfg = TrainConfig(lgp_coefficient=0.05, lgp_literal_endpoints=literal)
+    for trial in range(6):
+        dim = (2, 4)[trial % 2]
+        m = init_model(dim, hidden_sizes=(9, 7), seed=trial)
+        sets = _ragged_sets(rng, 24, dim, snap=(4 if trial % 3 == 0 else None))
+        recon, lgp, grads = batch_losses_and_grads(m, sets, cfg)
+        ref_recon, ref_lgp, ref_grads = _loop_losses_and_grads(m, sets, cfg)
+        assert (recon, lgp) == (ref_recon, ref_lgp)
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+        h = encode_batch(m, np.concatenate(sets))
+        ref_total, _ = _loop_lgp_batch(sets, h, cfg.alpha, cfg.beta, literal)
+        assert total_loss(m, sets, cfg) == ref_recon + cfg.lgp_coefficient * ref_total / len(sets)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_train_matches_loop_oracle(literal, monkeypatch):
+    rng = np.random.default_rng(24)
+    data = [TokenSet(s) for s in _ragged_sets(rng, 40, 4, snap=None)]
+    data += [TokenSet(s) for s in _ragged_sets(rng, 10, 4, snap=2)]
+    cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(12, 8), seed=3,
+                      lgp_literal_endpoints=literal)
+    model, hist = train(data, cfg)
+    monkeypatch.setattr(latentsort, "batch_losses_and_grads", _loop_losses_and_grads)
+    ref_model, ref_hist = train(data, cfg)
+    assert hist == ref_hist
+    assert all(np.array_equal(a, b) for a, b in zip(model.params(), ref_model.params()))

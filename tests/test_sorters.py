@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tokensort.core import Graph, TokenSet, tokenize_edges
+from tokensort.latentsort import init_model, latent_sort
 from tokensort.sorters import (
     KEY_SCHEMES,
     PowerIterationError,
@@ -27,6 +28,15 @@ def test_sort_by_keys_stable_ascending():
     x = TokenSet(np.array([[3.0], [1.0], [2.0]]))
     seq = sort_by_keys(x, np.array([0.5, 0.5, 0.1]))
     assert np.array_equal(seq.rows[:, 0], [2.0, 3.0, 1.0])  # tie keeps input order
+
+
+def test_sorts_return_their_permutation():
+    rng = np.random.default_rng(6)
+    model = init_model(3, hidden_sizes=(5,), seed=1)
+    for _ in range(20):
+        x = TokenSet(np.round(rng.uniform(size=(int(rng.integers(1, 12)), 3)) * 2) / 2)
+        for seq in [fn(x) for fn in KEY_SCHEMES.values()] + [latent_sort(model, x)]:
+            assert np.array_equal(x.values[seq.order], seq.rows)
 
 
 def test_mean_squared_order():
