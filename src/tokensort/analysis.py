@@ -84,13 +84,6 @@ def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list
     return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
 
-def group_of(groups: list[list[int]], i: int) -> list[int]:
-    for g in groups:
-        if i in g:
-            return g
-    raise ValueError(f"index {i} not covered by the grouping")
-
-
 def _check_partition(groups: list[list[int]], m: int) -> None:
     flat = sorted(i for g in groups for i in g)
     if flat != list(range(m)):

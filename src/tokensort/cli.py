@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .core import (
     TokenSet,
+    atomic_write,
     read_token_sets,
     write_graphs,
     write_sequences,
@@ -76,7 +77,7 @@ def cmd_train_latent(args) -> int:
     model, history = train(sets, cfg)
     save_model(model, args.out)
     hist_path = args.out + ".history.csv"
-    with open(hist_path, "w", newline="") as fh:
+    with atomic_write(hist_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "recon", "lgp", "lr"])
         for row in history:
@@ -109,7 +110,7 @@ def cmd_ambiguity_grid(args) -> int:
         keys = GRID_KEYS[args.scheme](pts)
     lo, hi = float(keys.min()), float(keys.max())
     norm = (keys - lo) / (hi - lo) if hi > lo else np.zeros_like(keys)
-    with open(args.out, "w", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x1", "x2", "key"])
         for p, k in zip(pts, norm):
@@ -133,7 +134,7 @@ def cmd_analyze(args) -> int:
             "ambiguity_error": ambiguity_error(seq, groups),
             "sorting_error": sorting_error(p, seq),
         })
-    with open(args.report, "w") as fh:
+    with atomic_write(args.report) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
@@ -144,7 +145,7 @@ def cmd_metrics(args) -> int:
     gt = read_token_sets(args.gt)
     if len(pred) != len(gt):
         raise UsageError(f"pred has {len(pred)} sets, gt has {len(gt)}")
-    with open(args.out, "w", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "emd", "ehd", "precision", "recall", "f1", "size_diff"])
         for i, (a, b) in enumerate(zip(pred, gt)):
@@ -165,7 +166,7 @@ def cmd_tsp_bench(args) -> int:
     if args.train_sets is not None:
         cfg = replace(cfg, n_train_sets=args.train_sets)
     result = run_tsp_benchmark(cfg)
-    with open(args.out, "w", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "runs", "lgp", "mean", "std"])
         w.writerow([args.n, args.runs, args.lgp,

@@ -5,7 +5,10 @@ to share across threads for reading.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -121,20 +124,13 @@ class SortedSequence:
         return TokenSet(self.rows, id=id)
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    """First differing component decides."""
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
-
-
 @dataclass(frozen=True)
 class Graph:
     """Nodes with feature vectors plus directed or undirected edges.
 
     Undirected edges are stored once, endpoints in canonical order: the
-    endpoint whose feature vector compares lexicographically smaller first.
+    endpoint whose feature vector compares lexicographically smaller first,
+    and on equal features the smaller node index first.
     """
 
     node_features: np.ndarray
@@ -151,7 +147,8 @@ class Graph:
             u, v = int(e[0]), int(e[1])
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
-            if not self.directed and _lex_less(feats[v], feats[u]):
+            # tuples compare lexicographically: features first, then the index
+            if not self.directed and (tuple(feats[v]), v) < (tuple(feats[u]), u):
                 u, v = v, u
             if (u, v) in seen:
                 continue
@@ -207,12 +204,33 @@ def swap_endpoints(seq: SortedSequence) -> SortedSequence:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline: str | None = None):
+    """Open a text file that replaces `path` only once the block completes.
+
+    The data goes to a new temporary file in the same directory, which
+    os.replace then moves over `path` in one step, so a writer that fails
+    partway leaves the previous file, or none, and removes its temporary.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x", newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _float_list(arr: np.ndarray) -> list:
     return [[float(x) for x in row] for row in arr]
 
 
 def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for ts in sets:
             obj: dict = {}
             if ts.id is not None:
@@ -241,7 +259,7 @@ def read_token_sets(path) -> list[TokenSet]:
 
 
 def write_graphs(path, graphs: Iterable[Graph]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for g in graphs:
             obj = {
                 "nodes": _float_list(g.node_features),
@@ -271,7 +289,7 @@ def read_graphs(path) -> list[Graph]:
 
 
 def write_sequences(path, seqs: Iterable[SortedSequence]) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for s in seqs:
             obj: dict = {"rows": _float_list(s.rows)}
             if s.keys is not None:

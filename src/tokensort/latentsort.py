@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SortedSequence, TokenSet
+from .core import SortedSequence, TokenSet, atomic_write
 
 MODEL_FORMAT_VERSION = 1
 
@@ -28,6 +28,44 @@ LGP_BETA = 0.1
 # ---------------------------------------------------------------------------
 # MLP with tanh hidden layers and a linear output layer.
 # ---------------------------------------------------------------------------
+
+
+def _matrix(flat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) array: fresh without a buffer, else a C-contiguous view
+    of the buffer's first rows * cols values."""
+    if flat is None:
+        return np.empty((rows, cols))
+    return flat[: rows * cols].reshape(rows, cols)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ b into out. An inner dimension of 1 makes it an outer product,
+    which broadcasting computes without gemm. The values are gemm's, except
+    that a product of exactly zero keeps its sign where gemm, adding it to
+    +0, gives +0; every use adds a bias to it or sums it from +0 (matmul and
+    np.sum both do), so what training computes is unchanged."""
+    if a.shape[1] == 1:
+        return np.multiply(a, b, out=out)
+    return np.matmul(a, b, out=out)
+
+
+@dataclass
+class MlpBuffers:
+    """Memory an Mlp's forward and backward passes reuse from step to step.
+
+    Each buffer is flat and holds up to a row capacity fixed at creation; a
+    pass views its first rows * width values as a C-contiguous matrix, so
+    batches of any row count up to the capacity share it. `outs` holds one
+    buffer per layer for its activations. `scratch` holds two buffers that
+    backward alternates between for the deltas and the tanh derivative, and
+    may be shared by Mlps that never run backward at the same time. Backward
+    writes the gradients into `grad_weights` and `grad_biases`.
+    """
+
+    outs: list[np.ndarray]
+    scratch: list[np.ndarray]
+    grad_weights: list[np.ndarray]
+    grad_biases: list[np.ndarray]
 
 
 @dataclass
@@ -57,30 +95,49 @@ class Mlp:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l}: non-finite parameters")
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, buffers: MlpBuffers | None = None):
         """Batched forward pass. x: (B, in). Returns output (B, out) and the
-        per-layer activations needed for backprop."""
+        per-layer activations needed for backprop. With buffers the
+        activations are views of buffers.outs, valid until the next pass."""
         acts = [x]
-        a = x
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            a = z if l == last else np.tanh(z)
-            acts.append(a)
-        return a, acts
+            z = _matrix(None if buffers is None else buffers.outs[l], len(x), w.shape[1])
+            _matmul(acts[-1], w, z)
+            z += b
+            if l != last:
+                np.tanh(z, out=z)
+            acts.append(z)
+        return acts[-1], acts
 
-    def backward(self, acts, grad_out: np.ndarray):
+    def backward(self, acts, grad_out: np.ndarray, buffers: MlpBuffers | None = None,
+                 input_grad: bool = True):
         """Backprop grad_out (B, out) through the cached forward pass.
-        Returns (grad_x, grad_weights, grad_biases)."""
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
+        Returns (grad_x, grad_weights, grad_biases); grad_x is None when
+        input_grad is false, which skips its product. With buffers the
+        gradients are buffers.grad_weights and grad_biases, overwritten."""
+        n = len(self.weights)
+        rows = len(grad_out)
+        if buffers is None:
+            gw = [np.empty(w.shape) for w in self.weights]
+            gb = [np.empty(b.shape) for b in self.biases]
+            scratch = [None, None]
+        else:
+            gw, gb, scratch = buffers.grad_weights, buffers.grad_biases, buffers.scratch
+        # below the output layer, layer l's delta is in scratch[(l + 1) % 2];
+        # its tanh derivative, then the next delta, go in scratch[l % 2]
         delta = grad_out
-        for l in range(len(self.weights) - 1, -1, -1):
-            if l != len(self.weights) - 1:
-                delta = delta * (1.0 - acts[l + 1] ** 2)  # tanh'
-            gw[l] = acts[l].T @ delta
-            gb[l] = delta.sum(axis=0)
-            delta = delta @ self.weights[l].T
+        for l in range(n - 1, -1, -1):
+            if l != n - 1:
+                tanh_grad = _matrix(scratch[l % 2], rows, delta.shape[1])
+                np.multiply(acts[l + 1], acts[l + 1], out=tanh_grad)
+                np.subtract(1.0, tanh_grad, out=tanh_grad)
+                delta *= tanh_grad
+            np.matmul(acts[l].T, delta, out=gw[l])
+            np.sum(delta, axis=0, out=gb[l])
+            if l == 0 and not input_grad:
+                return None, gw, gb
+            delta = _matmul(delta, self.weights[l].T, _matrix(scratch[l % 2], rows, self.layer_sizes[l]))
         return delta, gw, gb
 
     def params(self) -> list[np.ndarray]:
@@ -125,17 +182,9 @@ def encode_batch(m: LatentSortModel, x: np.ndarray) -> np.ndarray:
     return h[:, 0]
 
 
-def encode(m: LatentSortModel, token) -> float:
-    return float(encode_batch(m, np.atleast_2d(np.asarray(token, dtype=np.float64)))[0])
-
-
 def decode_batch(m: LatentSortModel, h: np.ndarray) -> np.ndarray:
     out, _ = m.decoder.forward(np.asarray(h, dtype=np.float64).reshape(-1, 1))
     return out
-
-
-def decode(m: LatentSortModel, h: float) -> np.ndarray:
-    return decode_batch(m, np.array([h]))[0]
 
 
 def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:
@@ -288,7 +337,6 @@ class TrainConfig:
     alpha: float = 1.0
     beta: float = LGP_BETA
     recon_kind: str = "l2"  # "l2" | "l1"
-    weight_decay: float = 0.0
     seed: int = 0
     hidden_sizes: tuple = (64, 64)
     lgp_literal_endpoints: bool = False
@@ -313,25 +361,30 @@ def learning_rate(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.final_lr + 0.5 * (cfg.peak_lr - cfg.final_lr) * (1.0 + math.cos(math.pi * t))
 
 
-def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig):
+def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig,
+                           buffers: tuple[MlpBuffers, MlpBuffers] | None = None):
     """Reconstruction + LGP losses and analytic gradients for one batch.
 
     The LGP is applied per token set: each set's tokens are ranked by the
     current encoder latents and only consecutive pairs of that order are
     penalized. Returns (recon, lgp, grads aligned with model.params()).
+    With buffers (the encoder's and the decoder's, see _train_buffers) the
+    passes run in them and the gradients are views of their flat gradient
+    vector, overwritten by the next call.
     """
+    enc_buf, dec_buf = buffers or (None, None)
     x = np.concatenate(sets, axis=0)
-    h_col, enc_acts = m.encoder.forward(x)
-    x_hat, dec_acts = m.decoder.forward(h_col)
+    h_col, enc_acts = m.encoder.forward(x, enc_buf)
+    x_hat, dec_acts = m.decoder.forward(h_col, dec_buf)
 
     recon, grad_xhat = reconstruction_loss(x, x_hat, cfg.recon_kind)
-    grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat)
+    grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat, dec_buf)
 
     lgp_total, grad_h_lgp = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
     lgp_mean = lgp_total / len(sets)
 
     grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
-    _, enc_gw, enc_gb = m.encoder.backward(enc_acts, grad_h)
+    _, enc_gw, enc_gb = m.encoder.backward(enc_acts, grad_h, enc_buf, input_grad=False)
 
     grads = enc_gw + enc_gb + dec_gw + dec_gb
     return recon, lgp_mean, grads
@@ -348,26 +401,61 @@ def total_loss(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig) -> 
 
 
 class AdamState:
-    def __init__(self, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    """Adam moments of one parameter vector. Every operation is elementwise,
+    so one update of a flat vector equals updates of its pieces."""
+
+    def __init__(self, params: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray], lr: float,
-               weight_decay: float = 0.0) -> None:
+    def update(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, g, mm, vv in zip(params, grads, self.m, self.v):
-            if weight_decay:
-                g = g + weight_decay * p
-            mm *= b1
-            mm += (1 - b1) * g
-            vv *= b2
-            vv += (1 - b2) * g * g
-            p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + self.eps)
+        self.m *= b1
+        self.m += (1 - b1) * grads
+        self.v *= b2
+        self.v += (1 - b2) * grads * grads
+        params -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+
+
+def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views of flat shaped like the arrays of `like`."""
+    views, start = [], 0
+    for a in like:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
+def _train_buffers(model: LatentSortModel, rows: int):
+    """Memory for training model on batches of up to `rows` tokens.
+
+    Copies the parameters into one flat vector and rebinds the model's weights
+    and biases as views of it, in params() order, and makes a flat gradient
+    vector split the same way. Returns (params, grads, (encoder buffers,
+    decoder buffers)); the two Mlps share their backward scratch.
+    """
+    params = model.params()
+    flat = np.concatenate([p.ravel() for p in params])
+    grads = np.empty_like(flat)
+    param_views, grad_views = iter(_split(flat, params)), iter(_split(grads, params))
+    width = max(model.encoder.layer_sizes + model.decoder.layer_sizes)
+    scratch = [np.empty(rows * width) for _ in range(2)]
+    buffers = []
+    for mlp in (model.encoder, model.decoder):
+        mlp.weights = [next(param_views) for _ in mlp.weights]
+        mlp.biases = [next(param_views) for _ in mlp.biases]
+        buffers.append(MlpBuffers(
+            outs=[np.empty(rows * w) for w in mlp.layer_sizes[1:]],
+            scratch=scratch,
+            grad_weights=[next(grad_views) for _ in mlp.weights],
+            grad_biases=[next(grad_views) for _ in mlp.biases],
+        ))
+    return flat, grads, tuple(buffers)
 
 
 def train(data: list[TokenSet], cfg: TrainConfig | None = None):
@@ -385,11 +473,14 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     n = dims.pop()
     model = init_model(n, cfg.hidden_sizes, seed=cfg.seed)
     arrays = [ts.values for ts in data]
+    # the largest row count a batch can have: its sets are the largest ones
+    max_rows = sum(sorted((len(a) for a in arrays), reverse=True)[: cfg.batch_size])
+    params, grads, buffers = _train_buffers(model, max_rows)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     steps_per_epoch = max(1, math.ceil(len(arrays) / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
-    adam = AdamState(model.params())
+    adam = AdamState(params)
     history: list[dict] = []
     step = 0
     lr = 0.0
@@ -401,14 +492,14 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
             if idx.size == 0:
                 continue
             batch = [arrays[i] for i in idx]
-            recon, lgp, grads = batch_losses_and_grads(model, batch, cfg)
+            recon, lgp, _ = batch_losses_and_grads(model, batch, cfg, buffers)
             if not (math.isfinite(recon) and math.isfinite(lgp)):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, last lr {lr:.3e} "
                     f"(recon={recon}, lgp={lgp})"
                 )
             lr = learning_rate(step, total_steps, cfg)
-            adam.update(model.params(), grads, lr, cfg.weight_decay)
+            adam.update(params, grads, lr)
             recon_sum += recon
             lgp_sum += lgp
             step += 1
@@ -469,7 +560,7 @@ def save_model(m: LatentSortModel, path) -> None:
         "decoder": _mlp_to_obj(m.decoder),
         "meta": m.meta,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh)
         fh.write("\n")
 

@@ -11,16 +11,6 @@ import numpy as np
 
 from .core import Graph, SortedSequence, TokenSet, edge_token
 
-POWER_ITER_MAX = 10_000
-POWER_ITER_TOL = 1e-12
-
-
-class PowerIterationError(RuntimeError):
-    def __init__(self, residual: float):
-        super().__init__(f"power iteration did not converge (residual {residual:.3e})")
-        self.residual = residual
-
-
 def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
     """Stable ascending sort of the tokens by scalar keys."""
     keys = np.asarray(keys, dtype=np.float64)
@@ -45,37 +35,20 @@ def lexicographical_sort(x: TokenSet) -> SortedSequence:
 
 
 def principal_direction(values: np.ndarray) -> np.ndarray | None:
-    """Top eigenvector of the covariance of `values` by power iteration.
+    """Top eigenvector of the covariance of `values`, from its symmetric
+    eigendecomposition.
 
     Returns None for zero covariance (all tokens identical). The sign is
-    fixed so the largest-magnitude component is positive.
+    fixed so the largest-magnitude component is positive. When the top
+    eigenvalue is repeated, the vector is LAPACK's deterministic choice
+    within its eigenspace.
     """
-    n = values.shape[1]
     centered = values - values.mean(axis=0)
     cov = centered.T @ centered / values.shape[0]
     if not np.any(np.abs(cov) > 0.0):
         return None
     cov = cov / np.max(np.abs(cov))  # scale out under/overflow; eigenvectors unchanged
-    v = np.zeros(n)
-    v[0] = 1.0
-    v += 1e-3
-    v /= np.linalg.norm(v)
-    residual = np.inf
-    for _ in range(POWER_ITER_MAX):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # start vector orthogonal to the range; nudge and continue
-            v = np.roll(v, 1)
-            continue
-        w /= norm
-        residual = min(np.linalg.norm(w - v), np.linalg.norm(w + v))
-        if residual < POWER_ITER_TOL:
-            v = w
-            break
-        v = w
-    else:
-        raise PowerIterationError(residual)
+    v = np.linalg.eigh(cov)[1][:, -1]  # eigenvalues ascend
     k = int(np.argmax(np.abs(v)))
     if v[k] < 0:
         v = -v

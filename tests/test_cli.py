@@ -63,7 +63,7 @@ def test_unknown_subcommand_usage_error():
 
 
 def test_train_then_sort_and_analyze(sets_file, tmp_path):
-    model = tmp_path / "model.npz"
+    model = tmp_path / "model.json"
     rc = main(["train-latent", "--in", sets_file, "--epochs", "2",
                "--seed", "1", "--out", str(model)])
     assert rc == 0

@@ -65,6 +65,15 @@ def test_graph_duplicate_edges_dropped():
     assert g.n_edges == 1
 
 
+def test_graph_equal_features_one_edge_per_node_pair():
+    # nodes 0 and 1 share their features: both orientations of their edge
+    # are one undirected edge, stored with the smaller index first
+    feats = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
+    g = Graph(feats, ((0, 1), (1, 0), (2, 0), (0, 2)))
+    assert g.edges == ((0, 1), (0, 2))
+    assert Graph(feats, ((1, 0),)).edges == ((0, 1),)
+
+
 def test_graph_bad_endpoint():
     with pytest.raises(ValueError):
         Graph(np.zeros((2, 2)), ((0, 5),))
@@ -121,6 +130,25 @@ def test_ragged_dimensions_rejected(tmp_path):
     p.write_text(json.dumps({"tokens": [[1.0, 2.0], [3.0]]}) + "\n")
     with pytest.raises(ValueError):
         read_token_sets(p)
+
+
+@pytest.mark.parametrize("write, good, bad", [
+    (write_token_sets, TokenSet(np.eye(2)), TokenSet(np.ones((1, 2)))),
+    (write_graphs, Graph(np.eye(2), ((0, 1),)), Graph(np.ones((1, 2)), ())),
+])
+def test_failed_write_keeps_previous_file(tmp_path, write, good, bad):
+    p = tmp_path / "out.jsonl"
+    write(p, [good])
+    before = p.read_bytes()
+
+    def failing():
+        yield bad
+        raise RuntimeError("writer failed partway")
+
+    with pytest.raises(RuntimeError, match="partway"):
+        write(p, failing())
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["out.jsonl"]  # no temporary left
 
 
 def test_graph_roundtrip(tmp_path):

@@ -1,7 +1,8 @@
+import math
+
 import numpy as np
 import pytest
 
-from tokensort import latentsort
 from tokensort.core import TokenSet
 from tokensort.latentsort import (
     AdamState,
@@ -186,8 +187,8 @@ def test_learning_rate_schedule_shape():
 
 def test_adam_step_moves_against_gradient():
     p = np.array([1.0, -1.0])
-    opt = AdamState([p])
-    opt.update([p], [np.array([1.0, -1.0])], lr=0.1)
+    opt = AdamState(p)
+    opt.update(p, np.array([1.0, -1.0]), lr=0.1)
     assert p[0] < 1.0 and p[1] > -1.0
 
 
@@ -279,18 +280,92 @@ def _loop_lgp_batch(sets, h, alpha, beta, literal_endpoints):
     return total, grad_h
 
 
+def _ref_forward(mlp, x):
+    """Mlp.forward as plain expressions, each on fresh temporaries."""
+    acts = [x]
+    a = x
+    last = len(mlp.weights) - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = a @ w + b
+        a = z if l == last else np.tanh(z)
+        acts.append(a)
+    return a, acts
+
+
+def _ref_backward(mlp, acts, grad_out):
+    """Mlp.backward as plain expressions, each on fresh temporaries."""
+    gw = [None] * len(mlp.weights)
+    gb = [None] * len(mlp.biases)
+    delta = grad_out
+    for l in range(len(mlp.weights) - 1, -1, -1):
+        if l != len(mlp.weights) - 1:
+            delta = delta * (1.0 - acts[l + 1] ** 2)  # tanh'
+        gw[l] = acts[l].T @ delta
+        gb[l] = delta.sum(axis=0)
+        delta = delta @ mlp.weights[l].T
+    return delta, gw, gb
+
+
 def _loop_losses_and_grads(m, sets, cfg):
-    """batch_losses_and_grads with the LGP taken from the loop oracle."""
+    """batch_losses_and_grads from the reference passes and the LGP loop oracle."""
     x = np.concatenate(sets, axis=0)
-    h_col, enc_acts = m.encoder.forward(x)
-    x_hat, dec_acts = m.decoder.forward(h_col)
+    h_col, enc_acts = _ref_forward(m.encoder, x)
+    x_hat, dec_acts = _ref_forward(m.decoder, h_col)
     recon, grad_xhat = reconstruction_loss(x, x_hat, cfg.recon_kind)
-    grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat)
+    grad_h_dec, dec_gw, dec_gb = _ref_backward(m.decoder, dec_acts, grad_xhat)
     lgp_total, grad_h_lgp = _loop_lgp_batch(sets, h_col[:, 0], cfg.alpha, cfg.beta,
                                             cfg.lgp_literal_endpoints)
     grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
-    _, enc_gw, enc_gb = m.encoder.backward(enc_acts, grad_h)
+    _, enc_gw, enc_gb = _ref_backward(m.encoder, enc_acts, grad_h)
     return recon, lgp_total / len(sets), enc_gw + enc_gb + dec_gw + dec_gb
+
+
+def _ref_adam_update(state, params, grads, lr):
+    """One Adam step array by array; state is {"t", "m", "v"}."""
+    state["t"] += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - b1 ** state["t"]
+    bc2 = 1.0 - b2 ** state["t"]
+    for p, g, mm, vv in zip(params, grads, state["m"], state["v"]):
+        mm *= b1
+        mm += (1 - b1) * g
+        vv *= b2
+        vv += (1 - b2) * g * g
+        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+
+
+def _ref_train(data, cfg):
+    """train with the reference step: separate parameter arrays, fresh
+    temporaries in every pass and Adam array by array."""
+    n = data[0].dim
+    model = init_model(n, cfg.hidden_sizes, seed=cfg.seed)
+    arrays = [ts.values for ts in data]
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
+    steps_per_epoch = max(1, math.ceil(len(arrays) / cfg.batch_size))
+    total_steps = cfg.epochs * steps_per_epoch
+    params = model.params()
+    adam = {"t": 0, "m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params]}
+    history = []
+    step = 0
+    lr = 0.0
+    for epoch in range(cfg.epochs):
+        perm = rng.permutation(len(arrays))
+        recon_sum = lgp_sum = 0.0
+        for b in range(steps_per_epoch):
+            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            if idx.size == 0:
+                continue
+            recon, lgp, grads = _loop_losses_and_grads(model, [arrays[i] for i in idx], cfg)
+            lr = learning_rate(step, total_steps, cfg)
+            _ref_adam_update(adam, params, grads, lr)
+            recon_sum += recon
+            lgp_sum += lgp
+            step += 1
+        history.append({"epoch": epoch, "recon": recon_sum / steps_per_epoch,
+                        "lgp": lgp_sum / steps_per_epoch, "lr": lr})
+    model.meta.update({"seed": cfg.seed, "epochs": cfg.epochs,
+                       "final_recon": history[-1]["recon"], "final_lgp": history[-1]["lgp"]})
+    return model, history
 
 
 def _ragged_sets(rng, count, dim, snap=None):
@@ -350,14 +425,22 @@ def test_batch_losses_and_grads_match_loop_oracle(literal):
 
 
 @pytest.mark.parametrize("literal", [False, True])
-def test_train_matches_loop_oracle(literal, monkeypatch):
+def test_train_matches_loop_oracle(literal, tmp_path):
     rng = np.random.default_rng(24)
-    data = [TokenSet(s) for s in _ragged_sets(rng, 40, 4, snap=None)]
-    data += [TokenSet(s) for s in _ragged_sets(rng, 10, 4, snap=2)]
-    cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(12, 8), seed=3,
-                      lgp_literal_endpoints=literal)
-    model, hist = train(data, cfg)
-    monkeypatch.setattr(latentsort, "batch_losses_and_grads", _loop_losses_and_grads)
-    ref_model, ref_hist = train(data, cfg)
-    assert hist == ref_hist
-    assert all(np.array_equal(a, b) for a, b in zip(model.params(), ref_model.params()))
+    # equal-size 2-D sets, then ragged 4-D sets with grid-snapped ties: the
+    # second run's batches have other row counts, so buffers left over from
+    # the first run would show
+    corpora = [
+        [TokenSet(rng.uniform(size=(8, 2))) for _ in range(40)],
+        [TokenSet(s) for s in _ragged_sets(rng, 40, 4)] + [TokenSet(s) for s in _ragged_sets(rng, 10, 4, snap=2)],
+    ]
+    for k, data in enumerate(corpora):
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(12, 8), seed=3 + k,
+                          lgp_literal_endpoints=literal)
+        model, hist = train(data, cfg)
+        ref_model, ref_hist = _ref_train(data, cfg)
+        assert hist == ref_hist
+        assert all(np.array_equal(a, b) for a, b in zip(model.params(), ref_model.params()))
+        save_model(model, tmp_path / "model.json")
+        save_model(ref_model, tmp_path / "ref.json")
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

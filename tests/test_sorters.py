@@ -8,7 +8,6 @@ from tokensort.core import Graph, TokenSet, tokenize_edges
 from tokensort.latentsort import init_model, latent_sort
 from tokensort.sorters import (
     KEY_SCHEMES,
-    PowerIterationError,
     bfs_sort,
     dfs_sort,
     lexicographical_sort,
@@ -74,13 +73,15 @@ def test_svd_sort_zero_covariance():
     assert np.array_equal(seq.rows, x.values)
 
 
-def test_power_iteration_degenerate_spectrum():
-    # two equal eigenvalues: the iteration cannot settle on one direction
+def test_principal_direction_degenerate_spectrum():
+    # two equal eigenvalues: every unit vector is a top eigenvector, and the
+    # returned one is a unit vector that repeats from call to call
     vals = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]] * 5)
-    try:
-        principal_direction(vals)
-    except PowerIterationError as e:
-        assert e.residual > 0
+    v = principal_direction(vals)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert v[np.argmax(np.abs(v))] > 0
+    assert np.array_equal(v, principal_direction(vals))
+    assert np.array_equal(v, principal_direction(vals.copy()))
 
 
 def _triangle():
