@@ -8,7 +8,6 @@ Rows are distributions over elements.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,8 @@ def validate_probability_matrix(p: np.ndarray, tol: float = ROW_SUM_TOL) -> None
     p = np.asarray(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"P must be square, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("P entries must be finite")
     if np.any(p < -tol) or np.any(p > 1 + tol):
         raise ValueError("P entries must lie in [0, 1]")
     rows = p.sum(axis=1)
@@ -46,8 +47,8 @@ class LatentGaussianProfile:
             raise ValueError("means and variances must be 1-D arrays of equal length")
         if not np.all(np.isfinite(mu)):
             raise ValueError("means must be finite")
-        if np.any(var < 0):
-            raise ValueError("variances must be non-negative")
+        if not np.all(np.isfinite(var) & (var >= 0)):
+            raise ValueError("variances must be finite and non-negative")
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", var)
 
@@ -59,29 +60,20 @@ class LatentGaussianProfile:
 def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list[int]]:
     """Partition token indices by key equality within `tol`, closed transitively.
 
-    Returns one sorted index group per partition class, ordered by smallest
-    member. Exact duplicates in keys always land in the same group.
+    The stably sorted keys are cut wherever a gap is not within `tol`, so a
+    NaN key stays in a group of its own. Returns one sorted index group per
+    partition class, ordered by smallest member. Exact duplicates in keys
+    always land in the same group.
     """
     keys = np.asarray(keys, dtype=np.float64)
     m = x.size
     if keys.shape != (m,):
         raise ValueError(f"need {m} keys, got shape {keys.shape}")
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     order = np.argsort(keys, kind="stable")
-    for a, b in zip(order[:-1], order[1:]):
-        if abs(keys[b] - keys[a]) <= tol:
-            parent[find(int(a))] = find(int(b))
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    cuts = [0, *(np.flatnonzero(~(np.abs(np.diff(keys[order])) <= tol)) + 1).tolist(), m]
+    order = order.tolist()
+    groups = [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return sorted(groups, key=lambda g: g[0])
 
 
 def _check_partition(groups: list[list[int]], m: int) -> None:
@@ -97,6 +89,8 @@ def ambiguity_error(x_star: SortedSequence, groups: list[list[int]]) -> float:
     _check_partition(groups, y.shape[0])
     err = 0.0
     for g in groups:
+        if len(g) == 1:
+            continue  # a singleton is its own mean and adds exactly 0.0
         mean = y[g].mean(axis=0)
         err += float(np.sum((y[g] - mean) ** 2))
     return err
@@ -105,11 +99,10 @@ def ambiguity_error(x_star: SortedSequence, groups: list[list[int]]) -> float:
 def uniform_ambiguity_P(groups: list[list[int]], m: int) -> np.ndarray:
     """Row-stochastic matrix spreading each position uniformly over its group."""
     _check_partition(groups, m)
-    p = np.zeros((m, m))
+    p = np.eye(m)  # a singleton keeps its 1.0
     for g in groups:
-        w = 1.0 / len(g)
-        for i in g:
-            p[i, g] = w
+        if len(g) > 1:
+            p[np.ix_(g, g)] = 1.0 / len(g)
     return p
 
 
@@ -143,38 +136,33 @@ def swap_probability(mu_i: float, var_i: float, mu_j: float, var_j: float) -> fl
     return _phi(-(mu_i - mu_j) / math.sqrt(s2))
 
 
-def rank_probability_matrix(profile: LatentGaussianProfile, renormalize: bool = False,
-                            max_size: int = 12) -> np.ndarray:
+def rank_probability_matrix(profile: LatentGaussianProfile, renormalize: bool = False) -> np.ndarray:
     """P[k][i] = probability that element i lands at rank k, treating pairwise
     comparisons of the Gaussian latents as independent.
+
+    Under that model the rank of element i is Poisson-binomial: the number of
+    successes among the M - 1 comparisons P(h_i > h_j). Its distribution is
+    built by the recurrence that adds one comparison at a time (Chen & Liu
+    1997), for every element at once: O(M^3) work in M array updates.
 
     Exact for M = 2. For M >= 3 the independence assumption makes rows sum to
     slightly more or less than 1; they are left as computed unless
     `renormalize` is set, so the approximation stays visible.
     """
     m = profile.size
-    if m > max_size:
-        raise ValueError(f"combinatorial enumeration limited to M <= {max_size}, got {m}")
     mu, var = profile.means, profile.variances
-    # c[i][j] = P(h_i > h_j)
+    # c[i][j] = P(h_i > h_j); the zero diagonal leaves rank i unchanged at j = i
     c = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
             if i != j:
                 c[i, j] = swap_probability(mu[j], var[j], mu[i], var[i])
     p = np.zeros((m, m))
-    for i in range(m):
-        others = [j for j in range(m) if j != i]
-        for k in range(m):
-            total = 0.0
-            for smaller in itertools.combinations(others, k):
-                smaller_set = set(smaller)
-                prod = 1.0
-                for j in others:
-                    # j below i contributes P(h_i > h_j); j above contributes the rest
-                    prod *= c[i, j] if j in smaller_set else (1.0 - c[i, j])
-                total += prod
-            p[k, i] = total
+    p[0] = 1.0
+    for j in range(m):
+        q = c[:, j]
+        p[1:] = p[1:] * (1.0 - q) + p[:-1] * q
+        p[0] *= 1.0 - q
     if renormalize:
         p /= p.sum(axis=1, keepdims=True)
     return p

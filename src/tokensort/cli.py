@@ -130,7 +130,7 @@ def cmd_analyze(args) -> int:
         report.append({
             "index": idx,
             "set_size": ts.size,
-            "ambiguity_sets": [sorted(g) for g in groups],
+            "ambiguity_sets": groups,
             "ambiguity_error": ambiguity_error(seq, groups),
             "sorting_error": sorting_error(p, seq),
         })

@@ -225,17 +225,13 @@ def atomic_write(path, newline: str | None = None):
         raise
 
 
-def _float_list(arr: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in arr]
-
-
 def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
     with atomic_write(path) as fh:
         for ts in sets:
             obj: dict = {}
             if ts.id is not None:
                 obj["id"] = ts.id
-            obj["tokens"] = _float_list(ts.values)
+            obj["tokens"] = ts.values.tolist()
             fh.write(json.dumps(obj) + "\n")
 
 
@@ -262,7 +258,7 @@ def write_graphs(path, graphs: Iterable[Graph]) -> None:
     with atomic_write(path) as fh:
         for g in graphs:
             obj = {
-                "nodes": _float_list(g.node_features),
+                "nodes": g.node_features.tolist(),
                 "edges": [[u, v] for u, v in g.edges],
                 "directed": g.directed,
             }
@@ -291,9 +287,9 @@ def read_graphs(path) -> list[Graph]:
 def write_sequences(path, seqs: Iterable[SortedSequence]) -> None:
     with atomic_write(path) as fh:
         for s in seqs:
-            obj: dict = {"rows": _float_list(s.rows)}
+            obj: dict = {"rows": s.rows.tolist()}
             if s.keys is not None:
-                obj["keys"] = [float(k) for k in s.keys]
+                obj["keys"] = s.keys.tolist()
             if s.raw_keys is not None:
-                obj["raw_keys"] = [float(k) for k in s.raw_keys]
+                obj["raw_keys"] = s.raw_keys.tolist()
             fh.write(json.dumps(obj) + "\n")

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.stats import poisson_binom
 
 from tokensort.analysis import (
     LatentGaussianProfile,
@@ -31,6 +34,43 @@ def test_validate_probability_matrix():
         validate_probability_matrix(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_probability_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        validate_probability_matrix(np.full((3, 3), bad))
+    p = np.eye(3)
+    p[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        validate_probability_matrix(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+def test_profile_rejects_bad_variances(bad):
+    with pytest.raises(ValueError, match="variances"):
+        LatentGaussianProfile(np.zeros(3), np.array([0.1, bad, 0.2]))
+
+
+def _union_find_groups(keys, tol):
+    # the former union-find over sorted neighbours, kept as an oracle
+    m = keys.shape[0]
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    order = np.argsort(keys, kind="stable")
+    for a, b in zip(order[:-1], order[1:]):
+        if abs(keys[b] - keys[a]) <= tol:
+            parent[find(int(a))] = find(int(b))
+    groups: dict[int, list[int]] = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
+
 def test_ambiguity_sets_distinct_keys():
     ts = TokenSet(np.random.default_rng(0).normal(size=(5, 2)))
     groups = ambiguity_sets(ts, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
@@ -56,6 +96,45 @@ def test_ambiguity_sets_transitive_closure():
     keys = np.array([0.0, 0.5e-9, 1.0e-9])
     groups = ambiguity_sets(ts, keys, tol=0.6e-9)
     assert groups == [[0, 1, 2]]
+
+
+def test_ambiguity_sets_chained_ties_and_nan():
+    tol = 1e-3
+    a = 0.25
+    keys = np.array([a + 1.2 * tol, np.nan, 2.0, a, 2.0, np.nan, a + 0.6 * tol, 5.0])
+    groups = ambiguity_sets(TokenSet(np.zeros((8, 1))), keys, tol=tol)
+    assert groups == [[0, 3, 6], [1], [2, 4], [5], [7]]
+    assert all(type(i) is int for g in groups for i in g)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_ambiguity_sets_match_union_find(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 25))
+    tol = 0.1
+    # a coarse grid plus sub-tol jitter gives exact ties, chains and clean gaps
+    keys = rng.integers(0, 6, size=m) * rng.choice([0.05, 0.08, 0.2]) \
+        + rng.choice([0.0, 0.06], size=m)
+    keys[rng.uniform(size=m) < 0.1] = np.nan
+    keys[rng.uniform(size=m) < 0.05] = rng.choice([np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):  # inf - inf gaps are NaN, which cut
+        groups = ambiguity_sets(TokenSet(np.zeros((m, 1))), keys, tol=tol)
+        assert groups == _union_find_groups(keys, tol)
+
+
+def test_ambiguity_P_and_error_match_loops():
+    rng = np.random.default_rng(4)
+    vals = rng.normal(size=(9, 3))
+    groups = [[0, 4, 7], [1], [2, 3], [5], [6, 8]]
+    p_ref = np.zeros((9, 9))
+    err_ref = 0.0
+    for g in groups:
+        for i in g:
+            p_ref[i, g] = 1.0 / len(g)
+        err_ref += float(np.sum((vals[g] - vals[g].mean(axis=0)) ** 2))
+    assert np.array_equal(uniform_ambiguity_P(groups, 9), p_ref)
+    assert ambiguity_error(SortedSequence(vals), groups) == err_ref
 
 
 def test_uniform_P_row_stochastic():
@@ -140,10 +219,73 @@ def test_rank_matrix_collapse_identity():
     assert np.allclose(rank_probability_matrix(prof), np.eye(3))
 
 
-def test_rank_matrix_size_cap():
-    prof = LatentGaussianProfile(np.arange(13.0), np.ones(13))
-    with pytest.raises(ValueError):
-        rank_probability_matrix(prof)
+def test_rank_matrix_large_m():
+    prof = LatentGaussianProfile(np.arange(40.0) * 0.3, np.full(40, 0.5))
+    p = rank_probability_matrix(prof)
+    assert p.shape == (40, 40)
+    assert np.abs(p.sum(axis=0) - 1).max() < 1e-13  # each column is a distribution
+    # the middle element's rank distribution is symmetric about the middle rank
+    assert np.allclose(p[:, 20], p[::-1, 19], atol=1e-14)
+
+
+def _random_profile(rng, m):
+    return LatentGaussianProfile(rng.normal(size=m), rng.uniform(0.0, 0.5, size=m))
+
+
+def test_rank_matrix_matches_scipy_poisson_binom():
+    rng = np.random.default_rng(7)
+    for m in range(2, 41):
+        prof = _random_profile(rng, m)
+        mu, var = prof.means, prof.variances
+        p = rank_probability_matrix(prof)
+        for i in range(m):
+            others = np.arange(m) != i
+            c = ndtr((mu[i] - mu[others]) / np.sqrt(var[i] + var[others]))
+            ref = poisson_binom(c).pmf(np.arange(m))
+            assert np.abs(p[:, i] - ref).max() < 1e-13
+
+
+def _enumerated_rank_matrix(profile):
+    # the former subset enumeration, O(M^2 2^M), kept as an oracle for small M
+    m = profile.size
+    mu, var = profile.means, profile.variances
+    c = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                c[i, j] = swap_probability(mu[j], var[j], mu[i], var[i])
+    p = np.zeros((m, m))
+    for i in range(m):
+        others = [j for j in range(m) if j != i]
+        for k in range(m):
+            total = 0.0
+            for smaller in itertools.combinations(others, k):
+                prod = 1.0
+                for j in others:
+                    prod *= c[i, j] if j in smaller else (1.0 - c[i, j])
+                total += prod
+            p[k, i] = total
+    return p
+
+
+def test_rank_matrix_matches_enumeration():
+    rng = np.random.default_rng(8)
+    for m in range(1, 9):
+        for _ in range(3):
+            prof = _random_profile(rng, m)
+            ref = _enumerated_rank_matrix(prof)
+            assert np.abs(rank_probability_matrix(prof) - ref).max() < 1e-14
+
+
+def test_rank_matrix_degenerate_variances():
+    prof = LatentGaussianProfile(np.array([3.0, -1.0, 2.0, 0.5]), np.zeros(4))
+    expect = np.zeros((4, 4))
+    expect[[3, 0, 2, 1], [0, 1, 2, 3]] = 1.0  # rank of each element by its mean
+    assert np.array_equal(rank_probability_matrix(prof), expect)
+    # equal means: every comparison is a fair coin, so each rank is Binomial(M-1, 1/2)
+    p = rank_probability_matrix(LatentGaussianProfile(np.full(5, 0.7), np.zeros(5)))
+    binom = np.array([math.comb(4, k) for k in range(5)]) / 16.0
+    assert np.array_equal(p, np.repeat(binom[:, None], 5, axis=1))
 
 
 def test_rank_matrix_renormalize_rows():

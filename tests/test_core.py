@@ -15,6 +15,7 @@ from tokensort.core import (
     swap_endpoints,
     tokenize_edges,
     write_graphs,
+    write_sequences,
     write_token_sets,
 )
 
@@ -149,6 +150,27 @@ def test_failed_write_keeps_previous_file(tmp_path, write, good, bad):
         write(p, failing())
     assert p.read_bytes() == before
     assert [q.name for q in tmp_path.iterdir()] == ["out.jsonl"]  # no temporary left
+
+
+def _ref_float_list(arr):
+    # the writers' former per-element conversion, kept as the byte oracle
+    return [[float(x) for x in row] for row in arr]
+
+
+def test_writers_match_per_element_float_bytes(tmp_path):
+    vals = np.array([[-0.0, 5e-324], [1e308, 0.1 + 0.2]])
+    keys = np.array([-0.0, 0.1 + 0.2])
+    write_token_sets(tmp_path / "t.jsonl", [TokenSet(vals, id="s")])
+    write_graphs(tmp_path / "g.jsonl", [Graph(vals, ((0, 1),))])
+    write_sequences(tmp_path / "s.jsonl", [SortedSequence(vals, keys=keys, raw_keys=keys[::-1])])
+    ref = {
+        "t.jsonl": {"id": "s", "tokens": _ref_float_list(vals)},
+        "g.jsonl": {"nodes": _ref_float_list(vals), "edges": [[0, 1]], "directed": False},
+        "s.jsonl": {"rows": _ref_float_list(vals), "keys": [float(k) for k in keys],
+                    "raw_keys": [float(k) for k in keys[::-1]]},
+    }
+    for name, obj in ref.items():
+        assert (tmp_path / name).read_bytes() == (json.dumps(obj) + "\n").encode()
 
 
 def test_graph_roundtrip(tmp_path):
