@@ -60,17 +60,21 @@ class LatentGaussianProfile:
 def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list[int]]:
     """Partition token indices by key equality within `tol`, closed transitively.
 
-    The stably sorted keys are cut wherever a gap is not within `tol`, so a
-    NaN key stays in a group of its own. Returns one sorted index group per
-    partition class, ordered by smallest member. Exact duplicates in keys
-    always land in the same group.
+    The stably sorted keys are cut between neighbours that are neither equal
+    nor within `tol`, so a NaN key stays in a group of its own. Returns one
+    sorted index group per partition class, ordered by smallest member.
+    Exact duplicates in keys, infinite ones included, always land in the
+    same group.
     """
     keys = np.asarray(keys, dtype=np.float64)
     m = x.size
     if keys.shape != (m,):
         raise ValueError(f"need {m} keys, got shape {keys.shape}")
     order = np.argsort(keys, kind="stable")
-    cuts = [0, *(np.flatnonzero(~(np.abs(np.diff(keys[order])) <= tol)) + 1).tolist(), m]
+    k = keys[order]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; equality joins them
+        joined = (k[1:] == k[:-1]) | (np.abs(np.diff(k)) <= tol)
+    cuts = [0, *(np.flatnonzero(~joined) + 1).tolist(), m]
     order = order.tolist()
     groups = [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
     return sorted(groups, key=lambda g: g[0])

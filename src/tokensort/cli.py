@@ -41,7 +41,7 @@ from .latentsort import (
     train,
 )
 from .metrics import ehd, emd, set_prf, size_diff
-from .sorters import KEY_SCHEMES
+from .sorters import KEY_SCHEMES, mean_squared_keys
 from .tspbench import BenchConfig, run_tsp_benchmark
 
 
@@ -87,7 +87,7 @@ def cmd_train_latent(args) -> int:
 
 GRID_KEYS = {
     # raw scalar maps over R^2; the CLI min-max normalizes over the grid
-    "mean-squared": lambda pts: np.mean(pts * pts, axis=1),
+    "mean-squared": mean_squared_keys,
     "summation": lambda pts: pts.sum(axis=1),
 }
 
@@ -123,7 +123,11 @@ def cmd_analyze(args) -> int:
     report = []
     for idx, ts in enumerate(read_token_sets(args.infile)):
         seq = fn(ts)
-        keys = seq.keys if seq.keys is not None else np.zeros(ts.size)
+        keys = seq.keys
+        if keys is None:
+            # a keyless order (lex) is strict on distinct tokens: only runs
+            # of identical rows tie
+            keys = np.concatenate([[0], np.cumsum(np.any(np.diff(seq.rows, axis=0) != 0, axis=1))])
         groups = ambiguity_sets(TokenSet(seq.rows), keys)
         p = uniform_ambiguity_P(groups, ts.size)
         validate_probability_matrix(p)

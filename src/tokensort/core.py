@@ -103,7 +103,7 @@ class SortedSequence:
                 k = k.copy()
                 k.flags.writeable = False
                 object.__setattr__(self, name, k)
-        if self.keys is not None and np.any(np.diff(self.keys) < 0):
+        if self.keys is not None and np.any(self.keys[1:] < self.keys[:-1]):
             raise ValueError("keys must be non-decreasing")
         if self.order is not None:
             order = np.array(self.order, dtype=np.intp)
@@ -119,9 +119,6 @@ class SortedSequence:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
-
-    def to_token_set(self, id: str | None = None) -> TokenSet:
-        return TokenSet(self.rows, id=id)
 
 
 @dataclass(frozen=True)

@@ -120,39 +120,27 @@ def delaunay(points) -> list[tuple[int, int, int]]:
 
 
 def _merge_close_nodes(pts: np.ndarray, min_dist: float):
-    """Union-find merge of nodes closer than min_dist, iterated because the
-    centroid replacement can create new close pairs. Returns (new_points,
-    mapping old index -> new index)."""
+    """Replace each cluster of nodes closer than min_dist, closed
+    transitively, by its centroid; iterated because the centroids can make
+    new close pairs. Returns (new_points, mapping old index -> new index)."""
     mapping = np.arange(len(pts))
     while True:
-        n = len(pts)
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        merged_any = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.linalg.norm(pts[i] - pts[j]) < min_dist:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-                        merged_any = True
-        if not merged_any:
+        diff = pts[:, None] - pts[None, :]
+        # the BLAS dot a 1-D np.linalg.norm takes, so `<` decides as it would
+        close = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0] < min_dist
+        # label propagation: each node ends labelled by the smallest index
+        # in its cluster
+        labels = np.arange(len(pts))
+        while True:
+            smallest = np.where(close, labels, len(pts)).min(axis=1)
+            if np.array_equal(smallest, labels):
+                break
+            labels = smallest
+        roots, step = np.unique(labels, return_inverse=True)
+        if len(roots) == len(pts):
             return pts, mapping
-        roots = sorted({find(i) for i in range(n)})
-        index_of = {r: k for k, r in enumerate(roots)}
-        new_pts = np.empty((len(roots), 2))
-        for r in roots:
-            members = [i for i in range(n) if find(i) == r]
-            new_pts[index_of[r]] = pts[members].mean(axis=0)
-        step = np.array([index_of[find(i)] for i in range(n)])
+        pts = np.stack([pts[labels == r].mean(axis=0) for r in roots])
         mapping = step[mapping]
-        pts = new_pts
 
 
 def _collapse_narrow_angles(pts: np.ndarray, edges: set[tuple[int, int]], min_angle_rad: float):

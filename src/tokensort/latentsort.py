@@ -210,15 +210,11 @@ def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:
 # ---------------------------------------------------------------------------
 
 
-def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray, kind: str = "l2"):
-    """Mean elementwise reconstruction loss and its gradient w.r.t. x_hat."""
+def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray):
+    """Mean squared reconstruction error and its gradient w.r.t. x_hat."""
     diff = x_hat - x
     scale = 1.0 / diff.size
-    if kind == "l2":
-        return float(np.sum(diff * diff) * scale), 2.0 * diff * scale
-    if kind == "l1":
-        return float(np.sum(np.abs(diff)) * scale), np.sign(diff) * scale
-    raise ValueError(f"unknown reconstruction loss kind {kind!r}")
+    return float(np.sum(diff * diff) * scale), 2.0 * diff * scale
 
 
 def _lgp_pairs(m: int, literal_endpoints: bool) -> range:
@@ -329,14 +325,9 @@ class TrainConfig:
 
     epochs: int = 200
     batch_size: int = 64
-    peak_lr: float = 1e-3
-    warmup_frac: float = 0.10
-    warmup_init_lr: float = 1e-5
-    final_lr: float = 1e-8
     lgp_coefficient: float = 0.05
     alpha: float = 1.0
     beta: float = LGP_BETA
-    recon_kind: str = "l2"  # "l2" | "l1"
     seed: int = 0
     hidden_sizes: tuple = (64, 64)
     lgp_literal_endpoints: bool = False
@@ -344,21 +335,26 @@ class TrainConfig:
     def validate(self) -> None:
         if self.lgp_coefficient < 0 or self.alpha <= 0 or self.beta <= 0:
             raise ValueError("require lgp_coefficient >= 0, alpha > 0, beta > 0")
-        if not (0 <= self.warmup_frac < 1):
-            raise ValueError("warmup_frac must be in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
 
-def learning_rate(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Exponential warmup to the peak, then cosine decay to the final lr."""
-    warmup_steps = int(cfg.warmup_frac * total_steps)
+PEAK_LR = 1e-3
+WARMUP_FRAC = 0.10
+WARMUP_INIT_LR = 1e-5
+FINAL_LR = 1e-8
+
+
+def learning_rate(step: int, total_steps: int) -> float:
+    """Exponential warmup from WARMUP_INIT_LR to PEAK_LR over the first
+    WARMUP_FRAC of the steps, then cosine decay to FINAL_LR."""
+    warmup_steps = int(WARMUP_FRAC * total_steps)
     if step < warmup_steps:
         t = (step + 1) / warmup_steps
-        return cfg.warmup_init_lr * (cfg.peak_lr / cfg.warmup_init_lr) ** t
+        return WARMUP_INIT_LR * (PEAK_LR / WARMUP_INIT_LR) ** t
     remaining = max(total_steps - warmup_steps, 1)
     t = (step - warmup_steps) / remaining
-    return cfg.final_lr + 0.5 * (cfg.peak_lr - cfg.final_lr) * (1.0 + math.cos(math.pi * t))
+    return FINAL_LR + 0.5 * (PEAK_LR - FINAL_LR) * (1.0 + math.cos(math.pi * t))
 
 
 def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig,
@@ -377,7 +373,7 @@ def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: Trai
     h_col, enc_acts = m.encoder.forward(x, enc_buf)
     x_hat, dec_acts = m.decoder.forward(h_col, dec_buf)
 
-    recon, grad_xhat = reconstruction_loss(x, x_hat, cfg.recon_kind)
+    recon, grad_xhat = reconstruction_loss(x, x_hat)
     grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat, dec_buf)
 
     lgp_total, grad_h_lgp = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
@@ -395,7 +391,7 @@ def total_loss(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig) -> 
     x = np.concatenate(sets, axis=0)
     h_col, _ = m.encoder.forward(x)
     x_hat, _ = m.decoder.forward(h_col)
-    recon, _ = reconstruction_loss(x, x_hat, cfg.recon_kind)
+    recon, _ = reconstruction_loss(x, x_hat)
     lgp_total, _ = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
     return recon + cfg.lgp_coefficient * lgp_total / len(sets)
 
@@ -498,7 +494,7 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
                     f"non-finite loss at epoch {epoch}, last lr {lr:.3e} "
                     f"(recon={recon}, lgp={lgp})"
                 )
-            lr = learning_rate(step, total_steps, cfg)
+            lr = learning_rate(step, total_steps)
             adam.update(params, grads, lr)
             recon_sum += recon
             lgp_sum += lgp
@@ -530,8 +526,8 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
 def _mlp_to_obj(mlp: Mlp) -> dict:
     return {
         "layer_sizes": list(mlp.layer_sizes),
-        "weights": [[float(x) for x in w.ravel()] for w in mlp.weights],
-        "biases": [[float(x) for x in b] for b in mlp.biases],
+        "weights": [w.ravel().tolist() for w in mlp.weights],
+        "biases": [b.tolist() for b in mlp.biases],
     }
 
 

@@ -3,9 +3,12 @@
 Every scheme returns a permutation of its input tokens as a SortedSequence.
 Key-based schemes compute one scalar key per token and stable-sort ascending;
 ties are broken by input index. Traversal schemes order edge tokens by graph
-traversal with explicit, deterministic tie rules.
+traversal with explicit, deterministic tie rules, and emit each stored edge
+exactly once, antiparallel directed edges included.
 """
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -64,34 +67,12 @@ def svd_lowrank_sort(x: TokenSet) -> SortedSequence:
     return sort_by_keys(x, centered @ direction)
 
 
-def _adjacency(g: Graph) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in range(g.n_nodes)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
-
-
-def _edge_order_tokens(g: Graph, edge_order: list[tuple[int, int]]) -> SortedSequence:
-    lookup = {frozenset(e) if not g.directed else e: e for e in g.edges}
-    rows = []
-    for u, v in edge_order:
-        key = frozenset((u, v)) if not g.directed else (u, v)
-        if key not in lookup and g.directed:
-            key = (v, u)
-        su, sv = lookup[key]
-        rows.append(edge_token(g, su, sv))
-    return SortedSequence(np.stack(rows))
-
-
 def bfs_sort(g: Graph) -> SortedSequence:
     """Edge tokens in breadth-first traversal order.
 
     Traversal restarts at the smallest-index unvisited node per component;
-    neighbors are scanned in ascending index order. Isolated nodes own no
-    edge token and are skipped.
+    neighbors are scanned in ascending index order, parallel edges in stored
+    order. Isolated nodes own no edge token and are skipped.
     """
     return _traversal_sort(g, depth_first=False)
 
@@ -104,16 +85,21 @@ def dfs_sort(g: Graph) -> SortedSequence:
 def _traversal_sort(g: Graph, depth_first: bool) -> SortedSequence:
     if g.n_edges == 0:
         raise ValueError("traversal sort requires at least one edge")
-    adj = _adjacency(g)
-    emitted: set[frozenset] = set()
-    order: list[tuple[int, int]] = []
+    # adjacency as (neighbor, edge index) pairs, so a scan names its edge
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_nodes)]
+    for k, (u, v) in enumerate(g.edges):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    for nbrs in adj:
+        nbrs.sort()
+    emitted = [False] * g.n_edges
+    order: list[int] = []
     visited = [False] * g.n_nodes
 
-    def emit(u: int, v: int) -> None:
-        key = frozenset((u, v))
-        if key not in emitted:
-            emitted.add(key)
-            order.append((u, v))
+    def emit(k: int) -> None:
+        if not emitted[k]:
+            emitted[k] = True
+            order.append(k)
 
     for start in range(g.n_nodes):
         if visited[start] or not adj[start]:
@@ -121,29 +107,25 @@ def _traversal_sort(g: Graph, depth_first: bool) -> SortedSequence:
         visited[start] = True
         if depth_first:
             # explicit stack of neighbor iterators == recursive DFS
-            stack = [(start, iter(adj[start]))]
+            stack = [iter(adj[start])]
             while stack:
-                u, nbrs = stack[-1]
-                for v in nbrs:
-                    emit(u, v)
+                for v, k in stack[-1]:
+                    emit(k)
                     if not visited[v]:
                         visited[v] = True
-                        stack.append((v, iter(adj[v])))
+                        stack.append(iter(adj[v]))
                         break
                 else:
                     stack.pop()
         else:
-            from collections import deque
-
             queue = deque([start])
             while queue:
-                u = queue.popleft()
-                for v in adj[u]:
-                    emit(u, v)
+                for v, k in adj[queue.popleft()]:
+                    emit(k)
                     if not visited[v]:
                         visited[v] = True
                         queue.append(v)
-    return _edge_order_tokens(g, order)
+    return SortedSequence(np.stack([edge_token(g, *g.edges[k]) for k in order]))
 
 
 KEY_SCHEMES = {

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def _union_find_groups(keys, tol):
 
     order = np.argsort(keys, kind="stable")
     for a, b in zip(order[:-1], order[1:]):
-        if abs(keys[b] - keys[a]) <= tol:
+        if keys[b] == keys[a] or abs(keys[b] - keys[a]) <= tol:
             parent[find(int(a))] = find(int(b))
     groups: dict[int, list[int]] = {}
     for i in range(m):
@@ -118,9 +119,16 @@ def test_ambiguity_sets_match_union_find(seed):
         + rng.choice([0.0, 0.06], size=m)
     keys[rng.uniform(size=m) < 0.1] = np.nan
     keys[rng.uniform(size=m) < 0.05] = rng.choice([np.inf, -np.inf])
-    with np.errstate(invalid="ignore"):  # inf - inf gaps are NaN, which cut
-        groups = ambiguity_sets(TokenSet(np.zeros((m, 1))), keys, tol=tol)
-        assert groups == _union_find_groups(keys, tol)
+    groups = ambiguity_sets(TokenSet(np.zeros((m, 1))), keys, tol=tol)
+    assert groups == _union_find_groups(keys, tol)
+
+
+def test_ambiguity_sets_equal_infinite_keys():
+    keys = np.array([-np.inf, -np.inf, -0.25])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ambiguity_sets(TokenSet(np.zeros((3, 1))), keys) == [[0, 1], [2]]
+        assert ambiguity_sets(TokenSet(np.zeros((3, 1))), -keys) == [[0, 1], [2]]
 
 
 def test_ambiguity_P_and_error_match_loops():

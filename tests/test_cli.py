@@ -89,6 +89,23 @@ def test_train_then_sort_and_analyze(sets_file, tmp_path):
                               "ambiguity_error", "sorting_error"}
 
 
+def test_analyze_lex_ties_only_identical_tokens(tmp_path):
+    # lex order is strict on distinct tokens, so only runs of identical
+    # rows share an ambiguity group
+    sets = tmp_path / "sets.jsonl"
+    write_token_sets(str(sets), [
+        TokenSet(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])),
+        TokenSet(np.array([[1.0, 2.0], [0.5, 0.0], [1.0, 2.0], [0.5, 0.0], [0.5, 3.0]])),
+    ])
+    report = tmp_path / "report.json"
+    assert main(["analyze", "--in", str(sets), "--scheme", "lex", "--report", str(report)]) == 0
+    square, dups = json.loads(report.read_text())
+    assert square["ambiguity_sets"] == [[0], [1], [2], [3]]
+    assert square["ambiguity_error"] == 0.0 and square["sorting_error"] == 0.0
+    assert dups["ambiguity_sets"] == [[0, 1], [2], [3, 4]]
+    assert dups["ambiguity_error"] == 0.0 and dups["sorting_error"] == 0.0
+
+
 def test_ambiguity_grid_scheme(tmp_path):
     out = tmp_path / "grid.csv"
     rc = main(["ambiguity-grid", "--scheme", "summation", "--res", "8",

@@ -10,6 +10,7 @@ from tokensort.datagen import (
     PREDICATE_TOL,
     DegenerateInputError,
     PlanarGenConfig,
+    _merge_close_nodes,
     delaunay,
     generate_planar_graph,
     generate_uniform_sets,
@@ -167,3 +168,55 @@ def test_delaunay_fuzz_valid(seed, n):
     tris = delaunay(pts)
     assert tris == sorted(set(tris))
     assert _empty_circumcircle_violations(pts, tris) == 0
+
+
+def _union_find_merge(pts, min_dist):
+    # the former union-find merge, kept as an oracle
+    mapping = np.arange(len(pts))
+    while True:
+        n = len(pts)
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        merged_any = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                if np.linalg.norm(pts[i] - pts[j]) < min_dist:
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+                        merged_any = True
+        if not merged_any:
+            return pts, mapping
+        roots = sorted({find(i) for i in range(n)})
+        index_of = {r: k for k, r in enumerate(roots)}
+        new_pts = np.empty((len(roots), 2))
+        for r in roots:
+            members = [i for i in range(n) if find(i) == r]
+            new_pts[index_of[r]] = pts[members].mean(axis=0)
+        step = np.array([index_of[find(i)] for i in range(n)])
+        mapping = step[mapping]
+        pts = new_pts
+
+
+def test_merge_close_nodes_matches_union_find():
+    # A and B merge first; their centroid is then within 0.1 of C, which was
+    # not within 0.1 of A or B, so only a second pass leaves one node
+    chained = np.array([[0.3, 0.3], [0.39, 0.3], [0.345, 0.395]])
+    merged, mapping = _merge_close_nodes(chained, 0.1)
+    assert merged.shape == (1, 2) and mapping.tolist() == [0, 0, 0]
+    rng = np.random.default_rng(31)
+    cases = [(chained, 0.1)] + [
+        (rng.uniform(size=(int(rng.integers(1, 30)), 2)), float(rng.choice([0.05, 0.1, 0.2])))
+        for _ in range(300)
+    ]
+    for pts, min_dist in cases:
+        merged, mapping = _merge_close_nodes(pts, min_dist)
+        ref_merged, ref_mapping = _union_find_merge(pts, min_dist)
+        assert np.array_equal(merged, ref_merged)
+        assert np.array_equal(mapping, ref_mapping)

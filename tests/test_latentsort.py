@@ -5,6 +5,10 @@ import pytest
 
 from tokensort.core import TokenSet
 from tokensort.latentsort import (
+    FINAL_LR,
+    PEAK_LR,
+    WARMUP_FRAC,
+    WARMUP_INIT_LR,
     AdamState,
     TrainConfig,
     _lgp_batch,
@@ -147,15 +151,11 @@ def test_lgp_loss_requires_keys():
         lgp_loss(SortedSequence(np.zeros((3, 2))))
 
 
-def test_reconstruction_loss_kinds():
+def test_reconstruction_loss_mean_squared():
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     xh = np.array([[0.5, 0.0], [1.0, 1.0]])
-    l2, _ = reconstruction_loss(x, xh, "l2")
-    l1, _ = reconstruction_loss(x, xh, "l1")
+    l2, _ = reconstruction_loss(x, xh)
     assert l2 == pytest.approx(0.25 / 4)
-    assert l1 == pytest.approx(0.5 / 4)
-    with pytest.raises(ValueError):
-        reconstruction_loss(x, xh, "huber")
 
 
 def test_latent_sort_keys_normalized():
@@ -174,13 +174,12 @@ def test_latent_sort_singleton():
 
 
 def test_learning_rate_schedule_shape():
-    cfg = TrainConfig(epochs=10, peak_lr=1e-3)
     total = 100
-    lrs = [learning_rate(s, total, cfg) for s in range(total)]
-    warm = int(0.1 * total)
-    assert cfg.warmup_init_lr <= lrs[0] < cfg.peak_lr / 10
-    assert max(lrs) == pytest.approx(cfg.peak_lr, rel=1e-6)
-    assert lrs[-1] == pytest.approx(cfg.final_lr, abs=1e-6)
+    lrs = [learning_rate(s, total) for s in range(total)]
+    warm = int(WARMUP_FRAC * total)
+    assert WARMUP_INIT_LR <= lrs[0] < PEAK_LR / 10
+    assert max(lrs) == pytest.approx(PEAK_LR, rel=1e-6)
+    assert lrs[-1] == pytest.approx(FINAL_LR, abs=1e-6)
     assert all(a <= b * (1 + 1e-12) for a, b in zip(lrs[:warm], lrs[1:warm + 1]))
     assert all(a >= b for a, b in zip(lrs[warm:], lrs[warm + 1:]))
 
@@ -311,7 +310,7 @@ def _loop_losses_and_grads(m, sets, cfg):
     x = np.concatenate(sets, axis=0)
     h_col, enc_acts = _ref_forward(m.encoder, x)
     x_hat, dec_acts = _ref_forward(m.decoder, h_col)
-    recon, grad_xhat = reconstruction_loss(x, x_hat, cfg.recon_kind)
+    recon, grad_xhat = reconstruction_loss(x, x_hat)
     grad_h_dec, dec_gw, dec_gb = _ref_backward(m.decoder, dec_acts, grad_xhat)
     lgp_total, grad_h_lgp = _loop_lgp_batch(sets, h_col[:, 0], cfg.alpha, cfg.beta,
                                             cfg.lgp_literal_endpoints)
@@ -356,7 +355,7 @@ def _ref_train(data, cfg):
             if idx.size == 0:
                 continue
             recon, lgp, grads = _loop_losses_and_grads(model, [arrays[i] for i in idx], cfg)
-            lr = learning_rate(step, total_steps, cfg)
+            lr = learning_rate(step, total_steps)
             _ref_adam_update(adam, params, grads, lr)
             recon_sum += recon
             lgp_sum += lgp

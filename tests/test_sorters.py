@@ -1,10 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tokensort.core import Graph, TokenSet, tokenize_edges
+from tokensort.core import Graph, TokenSet, edge_token, tokenize_edges
+from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 from tokensort.latentsort import init_model, latent_sort
 from tokensort.sorters import (
     KEY_SCHEMES,
@@ -126,6 +129,85 @@ def test_traversal_empty_graph():
     g = Graph(np.zeros((2, 2)), ())
     with pytest.raises(ValueError):
         bfs_sort(g)
+
+
+def _lookup_traversal(g, depth_first):
+    # the former traversal, which found each emitted edge again by its
+    # endpoint pair, kept as an oracle
+    adj = {i: [] for i in range(g.n_nodes)}
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj.values():
+        nbrs.sort()
+    emitted, order = set(), []
+    visited = [False] * g.n_nodes
+
+    def emit(u, v):
+        key = frozenset((u, v))
+        if key not in emitted:
+            emitted.add(key)
+            order.append((u, v))
+
+    for start in range(g.n_nodes):
+        if visited[start] or not adj[start]:
+            continue
+        visited[start] = True
+        if depth_first:
+            stack = [(start, iter(adj[start]))]
+            while stack:
+                u, nbrs = stack[-1]
+                for v in nbrs:
+                    emit(u, v)
+                    if not visited[v]:
+                        visited[v] = True
+                        stack.append((v, iter(adj[v])))
+                        break
+                else:
+                    stack.pop()
+        else:
+            queue = deque([start])
+            while queue:
+                u = queue.popleft()
+                for v in adj[u]:
+                    emit(u, v)
+                    if not visited[v]:
+                        visited[v] = True
+                        queue.append(v)
+    lookup = {frozenset(e) if not g.directed else e: e for e in g.edges}
+    rows = []
+    for u, v in order:
+        key = frozenset((u, v)) if not g.directed else (u, v)
+        if key not in lookup and g.directed:
+            key = (v, u)
+        rows.append(edge_token(g, *lookup[key]))
+    return np.stack(rows)
+
+
+def test_traversals_match_lookup_oracle():
+    graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in range(150)]
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        # small random graphs: self-loops, isolated nodes, several components,
+        # directed ones without antiparallel pairs (where the oracle is right)
+        n = int(rng.integers(1, 9))
+        feats = np.round(rng.uniform(size=(n, 2)) * 2) / 2
+        pairs = list(map(tuple, rng.integers(0, n, size=(int(rng.integers(1, 12)), 2)).tolist()))
+        directed = bool(rng.integers(2))
+        if directed:
+            pairs = [(u, v) for u, v in pairs if (v, u) not in pairs or u == v]
+        graphs.append(Graph(feats, tuple(pairs), directed=directed))
+    for g in graphs:
+        for fn, depth_first in ((bfs_sort, False), (dfs_sort, True)):
+            assert np.array_equal(fn(g).rows, _lookup_traversal(g, depth_first))
+
+
+def test_traversal_antiparallel_directed_edges():
+    g = Graph(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), ((0, 1), (1, 0), (1, 2)), directed=True)
+    for fn in (bfs_sort, dfs_sort):
+        rows = fn(g).rows
+        assert rows.shape == (3, 4)
+        assert _is_perm(np.stack([edge_token(g, u, v) for u, v in g.edges]), rows)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
