@@ -34,7 +34,6 @@ from .latentsort import (
     TrainConfig,
     init_model,
     latent_sort,
-    lgp_loss,
     load_model,
     save_model,
     train,
@@ -50,5 +49,5 @@ from .analysis import (
     uniform_ambiguity_P,
 )
 from .metrics import ehd, emd, set_prf, size_diff, smd, undirected_loss
-from .datagen import PlanarGenConfig, delaunay, generate_planar_graph, generate_uniform_sets
+from .datagen import PlanarGenConfig, delaunay, generate_planar_graph
 from .tspbench import BenchConfig, path_length, percentile_longer, run_tsp_benchmark

@@ -9,7 +9,6 @@ import contextlib
 import json
 import os
 import secrets
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -39,9 +38,8 @@ def _canonical_rows(values: np.ndarray) -> np.ndarray:
 class TokenSet:
     """An unordered collection of M tokens, each a point in R^N.
 
-    Duplicate tokens are permitted in storage; `duplicate_groups` reports them
-    (exact duplicates always share an ambiguity group in analysis).
-    Equality is multiset equality, independent of storage order.
+    Duplicate tokens are permitted in storage. Equality is multiset equality,
+    independent of storage order.
     """
 
     values: np.ndarray
@@ -57,18 +55,6 @@ class TokenSet:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def duplicate_groups(self) -> list[list[int]]:
-        """Index groups of exactly identical tokens (groups of size >= 2)."""
-        seen: dict[bytes, list[int]] = {}
-        for i, row in enumerate(self.values):
-            seen.setdefault(row.tobytes(), []).append(i)
-        return [g for g in seen.values() if len(g) > 1]
-
-    def validate(self) -> None:
-        dups = self.duplicate_groups()
-        if dups:
-            warnings.warn(f"token set {self.id or '<anonymous>'} contains duplicate tokens at indices {dups}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TokenSet):

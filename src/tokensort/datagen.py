@@ -1,14 +1,15 @@
 """Synthetic data: planar graphs via Delaunay triangulation with collapse
-post-processing, and uniform random token sets."""
+post-processing."""
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, TokenSet
+from .core import Graph
 
 PREDICATE_TOL = 1e-12
 
@@ -108,7 +109,8 @@ def delaunay(points) -> list[tuple[int, int, int]]:
         for t in bad:
             for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
                 boundary[e] = boundary.get(e, 0) + 1
-        tris = [t for t in tris if t not in set(bad)]
+        bad_set = set(bad)
+        tris = [t for t in tris if t not in bad_set]
         for e, count in boundary.items():
             if count == 1:
                 tris.append(tuple(sorted((e[0], e[1], i))))
@@ -145,32 +147,29 @@ def _merge_close_nodes(pts: np.ndarray, min_dist: float):
 
 def _collapse_narrow_angles(pts: np.ndarray, edges: set[tuple[int, int]], min_angle_rad: float):
     """Remove the longer edge of any incident pair meeting at an angle below
-    the threshold; repeat until no pair offends."""
-    def length(e):
-        return float(np.linalg.norm(pts[e[0]] - pts[e[1]]))
-
+    the threshold; repeat until no pair offends. On equal lengths the edge
+    of a pair that sorts first loses, and of a node's offending pairs the
+    first pair's loser is removed."""
+    # ||u|| is ||-u|| bit for bit, so an edge's length is the norm of the
+    # vector from either endpoint to the other
+    length = {e: float(np.linalg.norm(pts[e[0]] - pts[e[1]])) for e in edges}
     changed = True
     while changed:
         changed = False
         for node in range(len(pts)):
             incident = sorted(e for e in edges if node in e)
-            worst = None
-            for a in range(len(incident)):
-                for b in range(a + 1, len(incident)):
-                    e1, e2 = incident[a], incident[b]
-                    u = pts[e1[0] + e1[1] - node] - pts[node]
-                    v = pts[e2[0] + e2[1] - node] - pts[node]
-                    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-                    if nu == 0 or nv == 0:
-                        continue
-                    cos = float(np.dot(u, v) / (nu * nv))
-                    angle = math.acos(min(1.0, max(-1.0, cos)))
-                    if angle < min_angle_rad:
-                        loser = e1 if length(e1) >= length(e2) else e2
-                        if worst is None or length(loser) > length(worst):
-                            worst = loser
-            if worst is not None:
-                edges.discard(worst)
+            losers = []
+            for e1, e2 in itertools.combinations(incident, 2):
+                nu, nv = length[e1], length[e2]
+                if nu == 0 or nv == 0:
+                    continue
+                u = pts[e1[0] + e1[1] - node] - pts[node]
+                v = pts[e2[0] + e2[1] - node] - pts[node]
+                cos = float(np.dot(u, v) / (nu * nv))
+                if math.acos(min(1.0, max(-1.0, cos))) < min_angle_rad:
+                    losers.append(max(e1, e2, key=length.get))
+            if losers:
+                edges.discard(max(losers, key=length.get))
                 changed = True
     return edges
 
@@ -204,9 +203,3 @@ def generate_planar_graph(cfg: PlanarGenConfig) -> Graph:
             return Graph(merged, tuple(sorted(edges)))
         last_err = "all edges collapsed away"
     raise RuntimeError(f"planar generation failed after 10 attempts: {last_err}")
-
-
-def generate_uniform_sets(m: int, n: int, count: int, seed: int = 0) -> list[TokenSet]:
-    """count token sets of m tokens drawn uniformly from [0,1]^n."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    return [TokenSet(rng.uniform(0.0, 1.0, size=(m, n))) for _ in range(count)]

@@ -300,18 +300,6 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
     return float(loss[0]), grad_h[0]
 
 
-def lgp_loss(x_sorted: SortedSequence, alpha: float = 1.0, beta: float = LGP_BETA,
-             literal_endpoints: bool = False) -> float:
-    """Latent gradient penalty of a sequence already sorted by its keys."""
-    if x_sorted.size < 2:
-        return 0.0
-    keys = x_sorted.raw_keys if x_sorted.raw_keys is not None else x_sorted.keys
-    if keys is None:
-        raise ValueError("lgp_loss requires a sequence with keys")
-    loss, _ = lgp_terms(x_sorted.rows, keys, alpha, beta, literal_endpoints)
-    return loss
-
-
 # ---------------------------------------------------------------------------
 # Training.
 # ---------------------------------------------------------------------------
@@ -387,35 +375,35 @@ def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: Trai
 
 
 def total_loss(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig) -> float:
-    """Scalar objective matching batch_losses_and_grads (finite-difference oracle hook)."""
-    x = np.concatenate(sets, axis=0)
-    h_col, _ = m.encoder.forward(x)
-    x_hat, _ = m.decoder.forward(h_col)
-    recon, _ = reconstruction_loss(x, x_hat)
-    lgp_total, _ = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
-    return recon + cfg.lgp_coefficient * lgp_total / len(sets)
+    """The scalar objective that batch_losses_and_grads differentiates."""
+    recon, lgp, _ = batch_losses_and_grads(m, sets, cfg)
+    return recon + cfg.lgp_coefficient * lgp
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
     """Adam moments of one parameter vector. Every operation is elementwise,
     so one update of a flat vector equals updates of its pieces."""
 
-    def __init__(self, params: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def update(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         self.m *= b1
         self.m += (1 - b1) * grads
         self.v *= b2
         self.v += (1 - b2) * grads * grads
-        params -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        params -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 def _split(flat: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
@@ -474,7 +462,7 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     params, grads, buffers = _train_buffers(model, max_rows)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    steps_per_epoch = max(1, math.ceil(len(arrays) / cfg.batch_size))
+    steps_per_epoch = math.ceil(len(arrays) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     adam = AdamState(params)
     history: list[dict] = []
@@ -484,10 +472,7 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
         perm = rng.permutation(len(arrays))
         recon_sum = lgp_sum = 0.0
         for b in range(steps_per_epoch):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            if idx.size == 0:
-                continue
-            batch = [arrays[i] for i in idx]
+            batch = [arrays[i] for i in perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
             recon, lgp, _ = batch_losses_and_grads(model, batch, cfg, buffers)
             if not (math.isfinite(recon) and math.isfinite(lgp)):
                 raise RuntimeError(

@@ -8,11 +8,12 @@ exactly once, antiparallel directed edges included.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from .core import Graph, SortedSequence, TokenSet, edge_token
+from .core import Graph, SortedSequence, TokenSet, tokenize_edges
 
 def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
     """Stable ascending sort of the tokens by scalar keys."""
@@ -22,8 +23,16 @@ def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
 
 
 def mean_squared_keys(values: np.ndarray) -> np.ndarray:
-    """Negated mean of squared components, so larger-magnitude tokens sort first."""
-    return -np.mean(values * values, axis=1)
+    """Negated mean of squared components, so larger-magnitude tokens sort first.
+
+    Raises ValueError when a key overflows (components above about 1e154):
+    an infinite key would tie tokens whose true keys differ.
+    """
+    with np.errstate(over="ignore"):
+        keys = -np.mean(values * values, axis=1)
+    if not np.isfinite(keys).all():
+        raise ValueError("mean-squared key overflows float64: token components too large to square")
+    return keys
 
 
 def mean_squared_sort(x: TokenSet) -> SortedSequence:
@@ -47,6 +56,9 @@ def principal_direction(values: np.ndarray) -> np.ndarray | None:
     within its eigenspace.
     """
     centered = values - values.mean(axis=0)
+    # scaled by a power of two, exactly, so the covariance cannot overflow;
+    # the normalization below cancels the scale
+    centered = np.ldexp(centered, -math.frexp(np.abs(centered).max())[1])
     cov = centered.T @ centered / values.shape[0]
     if not np.any(np.abs(cov) > 0.0):
         return None
@@ -125,7 +137,7 @@ def _traversal_sort(g: Graph, depth_first: bool) -> SortedSequence:
                     if not visited[v]:
                         visited[v] = True
                         queue.append(v)
-    return SortedSequence(np.stack([edge_token(g, *g.edges[k]) for k in order]))
+    return SortedSequence(tokenize_edges(g).values[order], order=order)
 
 
 KEY_SCHEMES = {

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,10 +78,6 @@ class BenchConfig:
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=60, lgp_coefficient=0.01))
 
 
-def _uniform_sets(n_sets: int, set_size: int, rng: np.random.Generator) -> list[TokenSet]:
-    return [TokenSet(rng.uniform(0.0, 1.0, size=(set_size, 2))) for _ in range(n_sets)]
-
-
 def run_tsp_benchmark(cfg: BenchConfig) -> dict:
     """Benchmark latent-sort path quality over cfg.n_runs independent runs.
 
@@ -100,12 +95,11 @@ def run_tsp_benchmark(cfg: BenchConfig) -> dict:
     if not cfg.use_lgp:
         train_cfg = replace(train_cfg, lgp_coefficient=0.0)
 
-    t0 = time.perf_counter()
     percentiles = np.empty(cfg.n_runs)
     for run in range(cfg.n_runs):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, run]))
-        eval_set = TokenSet(rng.uniform(0.0, 1.0, size=(cfg.set_size, 2)))
-        train_sets = _uniform_sets(cfg.n_train_sets, cfg.set_size, rng)
+        eval_set, *train_sets = [TokenSet(rng.uniform(0.0, 1.0, size=(cfg.set_size, 2)))
+                                 for _ in range(1 + cfg.n_train_sets)]
         run_cfg = replace(train_cfg, seed=train_cfg.seed + run)
         model, _ = train(train_sets, run_cfg)
         seq = latent_sort(model, eval_set)
@@ -119,5 +113,4 @@ def run_tsp_benchmark(cfg: BenchConfig) -> dict:
         "mean_percentile": float(percentiles.mean()),
         "std_percentile": float(percentiles.std(ddof=1)) if cfg.n_runs > 1 else 0.0,
         "percentiles": percentiles.tolist(),
-        "total_seconds": time.perf_counter() - t0,
     }

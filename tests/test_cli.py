@@ -106,6 +106,16 @@ def test_analyze_lex_ties_only_identical_tokens(tmp_path):
     assert dups["ambiguity_error"] == 0.0 and dups["sorting_error"] == 0.0
 
 
+def test_mean_squared_overflow_exits_without_output(tmp_path, capsys):
+    infile = tmp_path / "huge.jsonl"
+    write_token_sets(str(infile), [TokenSet(np.array([[1e200, 0.0], [2e200, 0.0], [0.5, 0.5]]))])
+    for argv in (["sort", "--out", str(tmp_path / "sorted.jsonl")],
+                 ["analyze", "--report", str(tmp_path / "report.json")]):
+        assert main(argv + ["--scheme", "mean-squared", "--in", str(infile)]) == 1
+        assert "overflow" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [infile]
+
+
 def test_ambiguity_grid_scheme(tmp_path):
     out = tmp_path / "grid.csv"
     rc = main(["ambiguity-grid", "--scheme", "summation", "--res", "8",

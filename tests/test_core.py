@@ -28,12 +28,6 @@ def test_token_set_multiset_equality():
     assert a != c
 
 
-def test_token_set_duplicates_reported():
-    ts = TokenSet(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-    groups = ts.duplicate_groups()
-    assert [0, 2] in [sorted(g) for g in groups]
-
-
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         TokenSet(np.empty((0, 2)))

@@ -13,7 +13,6 @@ from tokensort.datagen import (
     _merge_close_nodes,
     delaunay,
     generate_planar_graph,
-    generate_uniform_sets,
     in_circumcircle,
 )
 
@@ -148,16 +147,6 @@ def test_planar_config_validation():
         PlanarGenConfig(collapse_distance=1.5)
     with pytest.raises(ValueError):
         PlanarGenConfig(min_edge_angle_degrees=0.0)
-
-
-def test_uniform_sets_shape_range_and_seeding():
-    sets = generate_uniform_sets(7, 3, 5, seed=42)
-    assert len(sets) == 5
-    for ts in sets:
-        assert ts.values.shape == (7, 3)
-        assert np.all((ts.values >= 0.0) & (ts.values <= 1.0))
-    again = generate_uniform_sets(7, 3, 5, seed=42)
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(sets, again))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(4, 12))

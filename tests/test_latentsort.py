@@ -18,7 +18,6 @@ from tokensort.latentsort import (
     init_model,
     latent_sort,
     learning_rate,
-    lgp_loss,
     lgp_terms,
     load_model,
     reconstruction_loss,
@@ -143,12 +142,6 @@ def test_lgp_literal_endpoint_flag():
     inner, _ = lgp_terms(x, h, 1.0, 1e-6, True)
     # dropping the first and last pair removes their contributions
     assert inner < full
-
-
-def test_lgp_loss_requires_keys():
-    from tokensort.core import SortedSequence
-    with pytest.raises(ValueError):
-        lgp_loss(SortedSequence(np.zeros((3, 2))))
 
 
 def test_reconstruction_loss_mean_squared():
@@ -420,7 +413,7 @@ def test_batch_losses_and_grads_match_loop_oracle(literal):
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
         h = encode_batch(m, np.concatenate(sets))
         ref_total, _ = _loop_lgp_batch(sets, h, cfg.alpha, cfg.beta, literal)
-        assert total_loss(m, sets, cfg) == ref_recon + cfg.lgp_coefficient * ref_total / len(sets)
+        assert total_loss(m, sets, cfg) == ref_recon + cfg.lgp_coefficient * (ref_total / len(sets))
 
 
 @pytest.mark.parametrize("literal", [False, True])

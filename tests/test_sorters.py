@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -35,10 +36,16 @@ def test_sort_by_keys_stable_ascending():
 def test_sorts_return_their_permutation():
     rng = np.random.default_rng(6)
     model = init_model(3, hidden_sizes=(5,), seed=1)
+    cases = []
     for _ in range(20):
         x = TokenSet(np.round(rng.uniform(size=(int(rng.integers(1, 12)), 3)) * 2) / 2)
-        for seq in [fn(x) for fn in KEY_SCHEMES.values()] + [latent_sort(model, x)]:
-            assert np.array_equal(x.values[seq.order], seq.rows)
+        cases += [(x, fn(x)) for fn in KEY_SCHEMES.values()] + [(x, latent_sort(model, x))]
+    graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in range(5)]
+    graphs.append(Graph(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), ((1, 2), (0, 1), (1, 0)),
+                        directed=True))
+    cases += [(tokenize_edges(g), fn(g)) for g in graphs for fn in (bfs_sort, dfs_sort)]
+    for x, seq in cases:
+        assert np.array_equal(x.values[seq.order], seq.rows)
 
 
 def test_mean_squared_order():
@@ -51,6 +58,17 @@ def test_mean_squared_tie_stability():
     x = TokenSet(np.array([[0.6, 0.8], [-1.0, 0.0]]))
     seq = mean_squared_sort(x)
     assert np.array_equal(seq.rows[0], [0.6, 0.8])
+
+
+# squares of 1e200 overflow float64; the third token is an ordinary one
+HUGE_TOKENS = np.array([[1e200, 0.0], [2e200, 0.0], [0.5, 0.5]])
+
+
+def test_mean_squared_key_overflow_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            mean_squared_sort(TokenSet(HUGE_TOKENS))
 
 
 def test_lexicographical():
@@ -74,6 +92,14 @@ def test_svd_sort_zero_covariance():
     x = TokenSet(np.tile([2.0, 3.0], (4, 1)))
     seq = svd_lowrank_sort(x)
     assert np.array_equal(seq.rows, x.values)
+
+
+def test_svd_sort_huge_components():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = svd_lowrank_sort(TokenSet(HUGE_TOKENS))
+    assert seq.order.tolist() == [2, 0, 1]
+    assert np.all(np.diff(seq.keys) > 0)
 
 
 def test_principal_direction_degenerate_spectrum():
