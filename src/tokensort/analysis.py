@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedSequence, TokenSet
+from .core import SortedCorpus, SortedSequence, TokenSet
 from .latentsort import LatentSortModel, decode_batch, encode_batch
+from .sorters import set_ids
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_KEY_TOL = 1e-9
@@ -57,6 +58,15 @@ class LatentGaussianProfile:
         return self.means.shape[0]
 
 
+def _joined(sorted_keys: np.ndarray, tol: float) -> np.ndarray:
+    """For each key after the first, whether it joins the group of the key
+    before it: the two are equal, infinite ones included, or within `tol`.
+    A NaN key joins no group."""
+    k = sorted_keys
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; equality joins them
+        return (k[1:] == k[:-1]) | (np.abs(np.diff(k)) <= tol)
+
+
 def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list[int]]:
     """Partition token indices by key equality within `tol`, closed transitively.
 
@@ -71,13 +81,32 @@ def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list
     if keys.shape != (m,):
         raise ValueError(f"need {m} keys, got shape {keys.shape}")
     order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN; equality joins them
-        joined = (k[1:] == k[:-1]) | (np.abs(np.diff(k)) <= tol)
-    cuts = [0, *(np.flatnonzero(~joined) + 1).tolist(), m]
+    cuts = [0, *(np.flatnonzero(~_joined(keys[order], tol)) + 1).tolist(), m]
     order = order.tolist()
     groups = [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
     return sorted(groups, key=lambda g: g[0])
+
+
+def corpus_ambiguity_sets(corpus: SortedCorpus, tol: float = DEFAULT_KEY_TOL) -> list[list[list[int]]]:
+    """ambiguity_sets of every set of a sorted corpus, over the sorted
+    positions of the set, by the keys that ordered it.
+
+    The keys are sorted within each set, so each group is a run of
+    positions. An order without keys (lex) is strict on distinct tokens:
+    only runs of identical rows tie.
+    """
+    keys = corpus.keys
+    if keys is None:
+        keys = np.concatenate([[0], np.cumsum(np.any(np.diff(corpus.rows, axis=0) != 0, axis=1))])
+    joined = _joined(keys, tol)
+    joined[corpus.starts[1:] - 1] = False  # no group crosses into the next set
+    edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(keys)]
+    owner = set_ids(corpus.sizes)[edges[:-1]].tolist()
+    starts = corpus.starts.tolist()
+    groups: list[list[list[int]]] = [[] for _ in starts]
+    for a, b, k in zip(edges, edges[1:], owner):
+        groups[k].append(list(range(a - starts[k], b - starts[k])))
+    return groups
 
 
 def _check_partition(groups: list[list[int]], m: int) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -19,12 +20,13 @@ import numpy as np
 from . import __version__
 from .analysis import (
     ambiguity_error,
-    ambiguity_sets,
+    corpus_ambiguity_sets,
     sorting_error,
     uniform_ambiguity_P,
     validate_probability_matrix,
 )
 from .core import (
+    SortedSequence,
     TokenSet,
     atomic_write,
     read_token_sets,
@@ -35,13 +37,13 @@ from .datagen import PlanarGenConfig, generate_planar_graph
 from .latentsort import (
     TrainConfig,
     encode_batch,
-    latent_sort,
+    latent_sort_corpus,
     load_model,
     save_model,
     train,
 )
 from .metrics import ehd, emd, set_prf, size_diff
-from .sorters import KEY_SCHEMES, mean_squared_keys
+from .sorters import CORPUS_SCHEMES, mean_squared_keys
 from .tspbench import BenchConfig, run_tsp_benchmark
 
 
@@ -50,24 +52,33 @@ class UsageError(Exception):
 
 
 # schemes that order a token set; the traversal sorts need a graph
-SORT_SCHEMES = sorted(KEY_SCHEMES) + ["latent"]
+SORT_SCHEMES = sorted(CORPUS_SCHEMES) + ["latent"]
 
 
 def _sort_fn(scheme: str, model_path: str | None):
+    """The function that orders every set of a corpus by `scheme`."""
     if scheme == "latent":
         if not model_path:
             raise UsageError("--model is required with --scheme latent")
         model = load_model(model_path)
-        return lambda ts: latent_sort(model, ts)
+        return lambda values, sizes: latent_sort_corpus(model, values, sizes)
     if model_path:
         raise UsageError("--model only applies to --scheme latent")
-    return KEY_SCHEMES[scheme]
+    return CORPUS_SCHEMES[scheme]
+
+
+def _sorted_corpora(sort, sets: list[TokenSet]):
+    """The sets ordered by `sort`, one SortedCorpus for each run of
+    consecutive sets that share a token dimension (one for most files)."""
+    for _, run in itertools.groupby(sets, key=lambda ts: ts.dim):
+        run = list(run)
+        yield sort(np.concatenate([ts.values for ts in run]), [ts.size for ts in run])
 
 
 def cmd_sort(args) -> int:
-    fn = _sort_fn(args.scheme, args.model)
+    sort = _sort_fn(args.scheme, args.model)
     sets = read_token_sets(args.infile)
-    write_sequences(args.out, [fn(ts) for ts in sets])
+    write_sequences(args.out, _sorted_corpora(sort, sets))
     return 0
 
 
@@ -119,28 +130,32 @@ def cmd_ambiguity_grid(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    fn = _sort_fn(args.scheme, args.model)
-    report = []
-    for idx, ts in enumerate(read_token_sets(args.infile)):
-        seq = fn(ts)
-        keys = seq.keys
-        if keys is None:
-            # a keyless order (lex) is strict on distinct tokens: only runs
-            # of identical rows tie
-            keys = np.concatenate([[0], np.cumsum(np.any(np.diff(seq.rows, axis=0) != 0, axis=1))])
-        groups = ambiguity_sets(TokenSet(seq.rows), keys)
-        p = uniform_ambiguity_P(groups, ts.size)
-        validate_probability_matrix(p)
-        report.append({
-            "index": idx,
-            "set_size": ts.size,
-            "ambiguity_sets": groups,
-            "ambiguity_error": ambiguity_error(seq, groups),
-            "sorting_error": sorting_error(p, seq),
-        })
+    sort = _sort_fn(args.scheme, args.model)
+    sets = read_token_sets(args.infile)
+    # json.dump(report, indent=2, sort_keys=True), one entry at a time: an
+    # entry is a list item, so each of its lines is indented one level more
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    index = 0
     with atomic_write(args.report) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for corpus in _sorted_corpora(sort, sets):
+            groups_of = corpus_ambiguity_sets(corpus)
+            for groups, size, start in zip(groups_of, corpus.sizes.tolist(), corpus.starts.tolist()):
+                errors = (0.0, 0.0)  # all groups singletons: P is the identity
+                if len(groups) < size:
+                    seq = SortedSequence(corpus.rows[start : start + size])
+                    p = uniform_ambiguity_P(groups, size)
+                    validate_probability_matrix(p)
+                    errors = (ambiguity_error(seq, groups), sorting_error(p, seq))
+                entry = {
+                    "index": index,
+                    "set_size": size,
+                    "ambiguity_sets": groups,
+                    "ambiguity_error": errors[0],
+                    "sorting_error": errors[1],
+                }
+                fh.write(("[\n  " if index == 0 else ",\n  ") + encoder.encode(entry).replace("\n", "\n  "))
+                index += 1
+        fh.write("\n]\n" if index else "[]\n")
     return 0
 
 

@@ -21,10 +21,10 @@ def _as_matrix(values, what: str) -> np.ndarray:
         raise ValueError(f"{what}: expected a 2-D array of shape (M, N), got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{what}: M and N must both be >= 1, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what}: all components must be finite (no NaN/Inf)")
     arr = arr.copy()
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -86,8 +86,10 @@ class SortedSequence:
                 k = np.asarray(k, dtype=np.float64)
                 if k.shape != (self.rows.shape[0],):
                     raise ValueError(f"{name} length {k.shape} does not match M={self.rows.shape[0]}")
+                if not np.isfinite(k).all():
+                    raise ValueError(f"{name} must be finite (no NaN/Inf)")
                 k = k.copy()
-                k.flags.writeable = False
+                k.setflags(write=False)
                 object.__setattr__(self, name, k)
         if self.keys is not None and np.any(self.keys[1:] < self.keys[:-1]):
             raise ValueError("keys must be non-decreasing")
@@ -95,7 +97,7 @@ class SortedSequence:
             order = np.array(self.order, dtype=np.intp)
             if not np.array_equal(np.sort(order), np.arange(self.rows.shape[0])):
                 raise ValueError(f"order must be a permutation of range({self.rows.shape[0]})")
-            order.flags.writeable = False
+            order.setflags(write=False)
             object.__setattr__(self, "order", order)
 
     @property
@@ -105,6 +107,43 @@ class SortedSequence:
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
+
+
+@dataclass(frozen=True)
+class SortedCorpus:
+    """Token sets each sorted on its own, stored set after set.
+
+    Set k holds `sizes[k]` rows, and its sorted tokens are
+    rows[starts[k]:starts[k] + sizes[k]]. For each row, `order` is its index
+    within its set in the input, and `keys` and `raw_keys`, when present, are
+    the keys that produced the order. The key schemes build one for a whole
+    corpus, and its arrays are held as given, not copied. Only the keys are
+    checked, for NaN and Inf, as in SortedSequence; `sequence` gives one set
+    as a fully validated SortedSequence.
+    """
+
+    rows: np.ndarray
+    sizes: np.ndarray
+    order: np.ndarray
+    keys: np.ndarray | None = None
+    raw_keys: np.ndarray | None = None
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("keys", "raw_keys"):
+            k = getattr(self, name)
+            if k is not None and not np.isfinite(k).all():
+                raise ValueError(f"{name} must be finite (no NaN/Inf)")
+        object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
+
+    def sequence(self, k: int) -> SortedSequence:
+        part = slice(self.starts[k], self.starts[k] + self.sizes[k])
+        return SortedSequence(
+            self.rows[part],
+            keys=None if self.keys is None else self.keys[part],
+            raw_keys=None if self.raw_keys is None else self.raw_keys[part],
+            order=self.order[part],
+        )
 
 
 @dataclass(frozen=True)
@@ -267,12 +306,23 @@ def read_graphs(path) -> list[Graph]:
     return out
 
 
-def write_sequences(path, seqs: Iterable[SortedSequence]) -> None:
+def write_sequences(path, seqs: Iterable[SortedSequence | SortedCorpus]) -> None:
+    """One line per sorted set, {"rows": ..., "keys": ..., "raw_keys": ...}
+    as json.dumps writes it, without the key fields a sequence lacks. A
+    SortedSequence is one set, a SortedCorpus one line for each of its sets,
+    in order. Lines are written as they are made."""
     with atomic_write(path) as fh:
         for s in seqs:
-            obj: dict = {"rows": s.rows.tolist()}
-            if s.keys is not None:
-                obj["keys"] = s.keys.tolist()
-            if s.raw_keys is not None:
-                obj["raw_keys"] = s.raw_keys.tolist()
-            fh.write(json.dumps(obj) + "\n")
+            end = 0
+            for size in s.sizes.tolist() if isinstance(s, SortedCorpus) else [s.size]:
+                part = slice(end, end + size)
+                end += size
+                line = '{"rows": ' + json.dumps(s.rows[part].tolist())
+                if s.keys is not None:
+                    keys = json.dumps(s.keys[part].tolist())
+                    line += ', "keys": ' + keys
+                if s.raw_keys is not None:
+                    # a key sort's raw keys are its keys: encode them once
+                    raw = keys if s.raw_keys is s.keys else json.dumps(s.raw_keys[part].tolist())
+                    line += ', "raw_keys": ' + raw
+                fh.write(line + "}\n")

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SortedSequence, TokenSet, atomic_write
+from .core import SortedCorpus, SortedSequence, TokenSet, atomic_write
+from .sorters import sort_corpus_by_keys
 
 MODEL_FORMAT_VERSION = 1
 
@@ -187,6 +188,24 @@ def decode_batch(m: LatentSortModel, h: np.ndarray) -> np.ndarray:
     return out
 
 
+def latent_sort_corpus(m: LatentSortModel, values: np.ndarray, sizes) -> SortedCorpus:
+    """latent_sort of every set of a corpus.
+
+    Each set is encoded by its own forward pass: how many rows a pass holds
+    can change the last bits of a latent, so a set's keys are the same here
+    as in latent_sort of that set alone.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    bounds = np.cumsum(sizes).tolist()
+    raw = np.concatenate([encode_batch(m, values[a:b]) for a, b in zip([0] + bounds, bounds)])
+    corpus = sort_corpus_by_keys(values, sizes, raw)
+    sorted_raw = corpus.raw_keys
+    low = np.repeat(sorted_raw[corpus.starts], sizes)
+    span = np.repeat(sorted_raw[corpus.starts + sizes - 1], sizes) - low
+    norm = np.divide(sorted_raw - low, span, out=np.zeros_like(sorted_raw), where=span > 0)
+    return replace(corpus, keys=norm)
+
+
 def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:
     """Sort tokens ascending by encoder latents (stable).
 
@@ -194,15 +213,7 @@ def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:
     outputs are kept in `raw_keys`. Normalization is monotone, so it cannot
     change the order. A singleton set gets normalized key 0.
     """
-    raw = encode_batch(m, x.values)
-    order = np.argsort(raw, kind="stable")
-    sorted_raw = raw[order]
-    span = sorted_raw[-1] - sorted_raw[0]
-    if span > 0:
-        norm = (sorted_raw - sorted_raw[0]) / span
-    else:
-        norm = np.zeros_like(sorted_raw)
-    return SortedSequence(x.values[order], keys=norm, raw_keys=sorted_raw, order=order)
+    return latent_sort_corpus(m, x.values, [x.size]).sequence(0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +241,16 @@ def _lgp_pairs(m: int, literal_endpoints: bool) -> range:
 
 
 def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
-                literal_endpoints: bool):
+                literal_endpoints: bool, sizes: np.ndarray | None = None):
     """LGP of B sets of M tokens each, already sorted by latent.
 
     xs: (B, M, N) tokens, hs: (B, M) latents, both in ascending-latent order.
-    Returns per-set losses (B,) and gradients w.r.t. hs (B, M), equal bit for
-    bit to evaluating lgp_terms' formula pair by pair: distances are the BLAS
-    dot products a 1-D np.linalg.norm takes, and each set's terms are added
-    in pair order.
+    With `sizes`, set b is padded: only its first sizes[b] tokens are real,
+    and every pair that reaches past them is masked to exactly +0.0 loss and
+    gradient. Returns per-set losses (B,) and gradients w.r.t. hs (B, M),
+    equal bit for bit to evaluating lgp_terms' formula pair by pair on each
+    set's real tokens: distances are the BLAS dot products a 1-D
+    np.linalg.norm takes, and each set's terms are added in pair order.
     """
     b, m = hs.shape
     pairs = _lgp_pairs(m, literal_endpoints)
@@ -247,12 +260,19 @@ def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
     h_left, h_right = hs[:, lo:hi], hs[:, lo + 1 : hi + 1]
     denom = np.abs(h_left - h_right) + beta
     g = d / denom - alpha
-    loss = np.zeros(b)
-    for term in (2.0 * g * g).T:  # ndarray.sum would switch to pairwise summation
-        loss += term
     # d(2 g^2)/ds, chained through s = |h_i - h_{i+1}|
     dl_ds = -4.0 * g * d / (denom * denom)
     dl_dh = np.where(h_left >= h_right, dl_ds, -dl_ds)
+    if sizes is not None:
+        # pair i of set b is penalized when it is in _lgp_pairs(sizes[b])
+        real = np.arange(lo, hi) < (sizes - (m - pairs.stop))[:, None]
+        g = np.where(real, g, 0.0)
+        dl_dh = np.where(real, dl_dh, 0.0)
+    loss = np.zeros(b)
+    for term in (2.0 * g * g).T:  # ndarray.sum would switch to pairwise summation
+        loss += term
+    # a masked +0.0 is added to a position before any real term is taken
+    # from it, so each real gradient comes out as in the unpadded set
     grad_h = np.zeros((b, m))
     grad_h[:, lo:hi] += dl_dh
     grad_h[:, lo + 1 : hi + 1] -= dl_dh
@@ -262,22 +282,31 @@ def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
 def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int], cfg: TrainConfig):
     """LGP of consecutive token sets of the given sizes in x (T, N) with
     latents h (T,). Each set is ranked by a stable argsort of its latents and
-    only consecutive pairs of that order are penalized. Sets are batched by
-    size. Returns the sum of the set losses, added in set order, and the
-    gradient w.r.t. h (T,).
+    only consecutive pairs of that order are penalized. Sets of several sizes
+    are padded to the largest: a padded slot's NaN latent sorts after every
+    real one, and _lgp_sorted masks its pairs. Returns the sum of the set
+    losses, added in set order, and the gradient w.r.t. h (T,).
     """
-    starts = np.cumsum([0] + sizes[:-1])
-    buckets: dict[int, list[int]] = {}
-    for k, msize in enumerate(sizes):
-        buckets.setdefault(msize, []).append(k)
-    losses = np.zeros(len(sizes))
+    sizes = np.asarray(sizes)
+    m = int(sizes.max())
+    starts = np.cumsum(sizes) - sizes
+    rows = starts[:, None] + np.arange(m)
+    ragged = bool(sizes.min() < m)
+    if ragged:
+        real = np.arange(m) < sizes[:, None]
+        rows = np.where(real, rows, starts[:, None])
+        hs = np.where(real, h[rows], np.nan)
+    else:
+        hs = h[rows]
+    order = np.argsort(hs, axis=1, kind="stable")
+    rows = np.take_along_axis(rows, order, axis=1)
+    losses, grad = _lgp_sorted(x[rows], np.take_along_axis(hs, order, axis=1), cfg.alpha, cfg.beta,
+                               cfg.lgp_literal_endpoints, sizes if ragged else None)
     grad_h = np.zeros_like(h)
-    for msize, members in buckets.items():
-        rows = starts[members][:, None] + np.arange(msize)
-        order = np.argsort(h[rows], axis=1, kind="stable")
-        rows = np.take_along_axis(rows, order, axis=1)
-        losses[members], grad_h[rows] = _lgp_sorted(x[rows], h[rows], cfg.alpha, cfg.beta,
-                                                    cfg.lgp_literal_endpoints)
+    if ragged:
+        grad_h[rows[real]] = grad[real]  # real tokens still fill each set's first slots
+    else:
+        grad_h[rows] = grad
     return float(np.cumsum(losses)[-1]), grad_h  # cumsum adds in order; sum() would not
 
 

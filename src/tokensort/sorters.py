@@ -2,24 +2,47 @@
 
 Every scheme returns a permutation of its input tokens as a SortedSequence.
 Key-based schemes compute one scalar key per token and stable-sort ascending;
-ties are broken by input index. Traversal schemes order edge tokens by graph
-traversal with explicit, deterministic tie rules, and emit each stored edge
-exactly once, antiparallel directed edges included.
+ties are broken by input index. Each also orders every set of a corpus at
+once into a SortedCorpus, and its per-set function is that corpus function
+on one set. Traversal schemes order edge tokens by graph traversal with
+explicit, deterministic tie rules, and emit each stored edge exactly once,
+antiparallel directed edges included.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
 
-from .core import Graph, SortedSequence, TokenSet, tokenize_edges
+from .core import Graph, SortedCorpus, SortedSequence, TokenSet, tokenize_edges
+
+
+def set_ids(sizes) -> np.ndarray:
+    """The index of the set each row of a corpus belongs to."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def _corpus(rows_order: np.ndarray, values: np.ndarray, sizes, keys=None) -> SortedCorpus:
+    """The corpus permuted by `rows_order`, a row order that keeps each set's
+    rows together and the sets in input order."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    local = rows_order - np.repeat(starts, sizes)
+    k = None if keys is None else keys[rows_order]
+    return SortedCorpus(values[rows_order], sizes, local, keys=k, raw_keys=k)
+
+
+def sort_corpus_by_keys(values: np.ndarray, sizes, keys: np.ndarray) -> SortedCorpus:
+    """Each set of a corpus sorted stably ascending by its tokens' keys, all
+    sets in one lexsort with the set index as the primary key."""
+    keys = np.asarray(keys, dtype=np.float64)
+    return _corpus(np.lexsort((keys, set_ids(sizes))), values, sizes, keys)
+
 
 def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
     """Stable ascending sort of the tokens by scalar keys."""
-    keys = np.asarray(keys, dtype=np.float64)
-    order = np.argsort(keys, kind="stable")
-    return SortedSequence(x.values[order], keys=keys[order], raw_keys=keys[order], order=order)
+    return sort_corpus_by_keys(x.values, [x.size], keys).sequence(0)
 
 
 def mean_squared_keys(values: np.ndarray) -> np.ndarray:
@@ -35,15 +58,55 @@ def mean_squared_keys(values: np.ndarray) -> np.ndarray:
     return keys
 
 
+def mean_squared_corpus(values: np.ndarray, sizes) -> SortedCorpus:
+    """mean_squared_sort of every set of a corpus."""
+    return sort_corpus_by_keys(values, sizes, mean_squared_keys(values))
+
+
 def mean_squared_sort(x: TokenSet) -> SortedSequence:
     """Order tokens from larger to smaller mean squared component value."""
-    return sort_by_keys(x, mean_squared_keys(x.values))
+    return mean_squared_corpus(x.values, [x.size]).sequence(0)
+
+
+def lexicographical_corpus(values: np.ndarray, sizes) -> SortedCorpus:
+    """lexicographical_sort of every set of a corpus."""
+    return _corpus(np.lexsort((*values.T[::-1], set_ids(sizes))), values, sizes)
 
 
 def lexicographical_sort(x: TokenSet) -> SortedSequence:
     """Ascending order by first dimension, then second on ties, and so on."""
-    order = np.lexsort(x.values.T[::-1])
-    return SortedSequence(x.values[order], order=order)
+    return lexicographical_corpus(x.values, [x.size]).sequence(0)
+
+
+def _stacked_directions(values: np.ndarray):
+    """Principal directions of B sets of M tokens, values (B, M, N).
+
+    A set whose column sums could overflow is scaled down by a power of two,
+    exactly, until they cannot, and then every set is centred. Every other
+    set keeps scale 1, so its centred tokens are those of the unscaled set.
+    Returns the centred tokens (B, M, N), the scale exponents (B,), the
+    directions (B, N) and whether each is defined: a set of identical tokens
+    has zero covariance and no direction.
+    """
+    # every |component| < 2**e, so a column sum stays below 2**(e + ceil(log2 M));
+    # shift only as far as keeps that at most 2**1023, which no sum rounds past
+    exponents = np.frexp(np.abs(values).max(axis=(1, 2)))[1]
+    exponents = np.maximum(exponents + (values.shape[1] - 1).bit_length() - 1023, 0)
+    scaled = np.ldexp(values, -exponents[:, None, None])
+    centered = scaled - scaled.mean(axis=1, keepdims=True)
+    # the covariance of the centred tokens scaled by their own power of two,
+    # so that a spread far below the tokens' magnitude cannot underflow
+    spread = np.ldexp(centered, -np.frexp(np.abs(centered).max(axis=(1, 2)))[1][:, None, None])
+    cov = np.swapaxes(spread, 1, 2) @ spread / values.shape[1]
+    peak = np.abs(cov).max(axis=(1, 2))
+    defined = peak > 0.0
+    cov = cov[defined] / peak[defined, None, None]  # scale out underflow; eigenvectors unchanged
+    vecs = np.linalg.eigh(cov)[1][:, :, -1]  # eigenvalues ascend
+    flip = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)] < 0
+    vecs[flip] = -vecs[flip]
+    directions = np.zeros((values.shape[0], values.shape[2]))
+    directions[defined] = vecs
+    return centered, exponents, directions, defined
 
 
 def principal_direction(values: np.ndarray) -> np.ndarray | None:
@@ -55,28 +118,40 @@ def principal_direction(values: np.ndarray) -> np.ndarray | None:
     eigenvalue is repeated, the vector is LAPACK's deterministic choice
     within its eigenspace.
     """
-    centered = values - values.mean(axis=0)
-    # scaled by a power of two, exactly, so the covariance cannot overflow;
-    # the normalization below cancels the scale
-    centered = np.ldexp(centered, -math.frexp(np.abs(centered).max())[1])
-    cov = centered.T @ centered / values.shape[0]
-    if not np.any(np.abs(cov) > 0.0):
-        return None
-    cov = cov / np.max(np.abs(cov))  # scale out under/overflow; eigenvectors unchanged
-    v = np.linalg.eigh(cov)[1][:, -1]  # eigenvalues ascend
-    k = int(np.argmax(np.abs(v)))
-    if v[k] < 0:
-        v = -v
-    return v
+    _, _, directions, defined = _stacked_directions(np.asarray(values, dtype=np.float64)[None])
+    return directions[0] if defined[0] else None
+
+
+def _svd_keys(values: np.ndarray, sizes) -> np.ndarray:
+    """Projection of each token onto its set's principal direction, after
+    centring the set; 0 for every token of a set without one. Sets of one
+    size are computed stacked.
+
+    Raises ValueError when a key overflows float64.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    keys = np.zeros(len(values))
+    for m in sorted(set(sizes.tolist())):
+        rows = starts[sizes == m][:, None] + np.arange(m)
+        centered, exponents, directions, defined = _stacked_directions(values[rows])
+        rows = rows[defined]
+        with np.errstate(over="ignore"):
+            projected = centered[defined] @ directions[defined][:, :, None]
+            keys[rows] = np.ldexp(projected[:, :, 0], exponents[defined][:, None])
+    if not np.isfinite(keys).all():
+        raise ValueError("svd key overflows float64: token components too large")
+    return keys
+
+
+def svd_lowrank_corpus(values: np.ndarray, sizes) -> SortedCorpus:
+    """svd_lowrank_sort of every set of a corpus."""
+    return sort_corpus_by_keys(values, sizes, _svd_keys(values, sizes))
 
 
 def svd_lowrank_sort(x: TokenSet) -> SortedSequence:
     """Order tokens by their projection onto the direction of maximum variance."""
-    direction = principal_direction(x.values)
-    if direction is None:
-        return sort_by_keys(x, np.zeros(x.size))
-    centered = x.values - x.values.mean(axis=0)
-    return sort_by_keys(x, centered @ direction)
+    return svd_lowrank_corpus(x.values, [x.size]).sequence(0)
 
 
 def bfs_sort(g: Graph) -> SortedSequence:
@@ -140,8 +215,14 @@ def _traversal_sort(g: Graph, depth_first: bool) -> SortedSequence:
     return SortedSequence(tokenize_edges(g).values[order], order=order)
 
 
+# scheme name -> the function ordering one set, and the one ordering a corpus
 KEY_SCHEMES = {
     "mean-squared": mean_squared_sort,
     "lex": lexicographical_sort,
     "svd": svd_lowrank_sort,
+}
+CORPUS_SCHEMES = {
+    "mean-squared": mean_squared_corpus,
+    "lex": lexicographical_corpus,
+    "svd": svd_lowrank_corpus,
 }

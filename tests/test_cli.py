@@ -6,6 +6,7 @@ import pytest
 
 from tokensort.cli import main
 from tokensort.core import TokenSet, write_token_sets
+from tokensort.latentsort import init_model, latent_sort, save_model
 
 
 def _read_sequences(path):
@@ -87,6 +88,30 @@ def test_train_then_sort_and_analyze(sets_file, tmp_path):
     for entry in data:
         assert set(entry) == {"index", "set_size", "ambiguity_sets",
                               "ambiguity_error", "sorting_error"}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_latent_rejects_non_finite_keys(tmp_path, capsys):
+    # an encoder with one hidden unit computing 1e308 * tanh(x1) + 1e308: the
+    # latent of (5, 0) overflows to inf
+    model = init_model(2, hidden_sizes=(1,), seed=0)
+    model.encoder.weights[0][:] = [[1.0], [0.0]]
+    model.encoder.biases[0][:] = 0.0
+    model.encoder.weights[1][:] = 1e308
+    model.encoder.biases[1][:] = 1e308
+    model_path = tmp_path / "model.json"
+    save_model(model, model_path)
+    values = np.array([[0.0, 1.0], [5.0, 0.0], [-5.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        latent_sort(model, TokenSet(values))
+    sets = tmp_path / "sets.jsonl"
+    write_token_sets(str(sets), [TokenSet(values)])
+    out = tmp_path / "out"
+    for command, flag in (("sort", "--out"), ("analyze", "--report")):
+        assert main([command, "--scheme", "latent", "--model", str(model_path),
+                     "--in", str(sets), flag, str(out)]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_analyze_lex_ties_only_identical_tokens(tmp_path):

@@ -38,6 +38,13 @@ def test_sorted_sequence_key_monotonicity_enforced():
         SortedSequence(np.zeros((2, 2)), keys=np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("name", ["keys", "raw_keys"])
+@pytest.mark.parametrize("keys", [[np.nan, 0.0], [0.0, np.inf]])
+def test_sorted_sequence_rejects_non_finite_keys(name, keys):
+    with pytest.raises(ValueError, match="finite"):
+        SortedSequence(np.zeros((2, 2)), **{name: np.array(keys)})
+
+
 def test_sorted_sequence_order_must_be_permutation():
     rows = np.arange(6.0).reshape(3, 2)
     assert SortedSequence(rows, order=[2, 0, 1]).order.tolist() == [2, 0, 1]

@@ -102,6 +102,23 @@ def test_svd_sort_huge_components():
     assert np.all(np.diff(seq.keys) > 0)
 
 
+def test_svd_sort_column_sum_overflow():
+    # the column sum 1.5e308 + 1.6e308 overflows; that of the scaled tokens does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seq = svd_lowrank_sort(TokenSet(np.array([[1.5e308, 0.0], [1.6e308, 0.0], [0.0, 1.0]])))
+    assert seq.order.tolist() == [2, 0, 1]
+    assert np.all(np.diff(seq.keys) > 0)
+
+
+def test_svd_key_overflow_rejected():
+    # the projection of (1.7e308, 1.7e308) on the diagonal is 2.4e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            svd_lowrank_sort(TokenSet(np.array([[-1.7e308, -1.7e308], [1.7e308, 1.7e308]])))
+
+
 def test_principal_direction_degenerate_spectrum():
     # two equal eigenvalues: every unit vector is a top eigenvector, and the
     # returned one is a unit vector that repeats from call to call
