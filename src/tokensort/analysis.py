@@ -21,16 +21,18 @@ ROW_SUM_TOL = 1e-9
 DEFAULT_KEY_TOL = 1e-9
 
 
-def validate_probability_matrix(p: np.ndarray, tol: float = ROW_SUM_TOL) -> None:
+def validate_probability_matrix(p: np.ndarray) -> None:
+    """Raise ValueError unless p is square and finite, with entries in [0, 1]
+    and rows summing to 1, both within ROW_SUM_TOL."""
     p = np.asarray(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"P must be square, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValueError("P entries must be finite")
-    if np.any(p < -tol) or np.any(p > 1 + tol):
+    if np.any(p < -ROW_SUM_TOL) or np.any(p > 1 + ROW_SUM_TOL):
         raise ValueError("P entries must lie in [0, 1]")
     rows = p.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > tol:
+    if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
         raise ValueError(f"P rows must sum to 1 (max deviation {np.max(np.abs(rows - 1.0)):.3e})")
 
 
@@ -87,9 +89,9 @@ def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list
     return sorted(groups, key=lambda g: g[0])
 
 
-def corpus_ambiguity_sets(corpus: SortedCorpus, tol: float = DEFAULT_KEY_TOL) -> list[list[list[int]]]:
-    """ambiguity_sets of every set of a sorted corpus, over the sorted
-    positions of the set, by the keys that ordered it.
+def corpus_ambiguity_sets(corpus: SortedCorpus) -> list[list[list[int]]]:
+    """ambiguity_sets of every set of a sorted corpus, at DEFAULT_KEY_TOL,
+    over the sorted positions of the set, by the keys that ordered it.
 
     The keys are sorted within each set, so each group is a run of
     positions. An order without keys (lex) is strict on distinct tokens:
@@ -98,7 +100,7 @@ def corpus_ambiguity_sets(corpus: SortedCorpus, tol: float = DEFAULT_KEY_TOL) ->
     keys = corpus.keys
     if keys is None:
         keys = np.concatenate([[0], np.cumsum(np.any(np.diff(corpus.rows, axis=0) != 0, axis=1))])
-    joined = _joined(keys, tol)
+    joined = _joined(keys, DEFAULT_KEY_TOL)
     joined[corpus.starts[1:] - 1] = False  # no group crosses into the next set
     edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(keys)]
     owner = set_ids(corpus.sizes)[edges[:-1]].tolist()
@@ -169,7 +171,7 @@ def swap_probability(mu_i: float, var_i: float, mu_j: float, var_j: float) -> fl
     return _phi(-(mu_i - mu_j) / math.sqrt(s2))
 
 
-def rank_probability_matrix(profile: LatentGaussianProfile, renormalize: bool = False) -> np.ndarray:
+def rank_probability_matrix(profile: LatentGaussianProfile) -> np.ndarray:
     """P[k][i] = probability that element i lands at rank k, treating pairwise
     comparisons of the Gaussian latents as independent.
 
@@ -178,9 +180,11 @@ def rank_probability_matrix(profile: LatentGaussianProfile, renormalize: bool = 
     built by the recurrence that adds one comparison at a time (Chen & Liu
     1997), for every element at once: O(M^3) work in M array updates.
 
-    Exact for M = 2. For M >= 3 the independence assumption makes rows sum to
-    slightly more or less than 1; they are left as computed unless
-    `renormalize` is set, so the approximation stays visible.
+    Exact for M = 2. For M >= 3 the comparisons all involve h_i and are not
+    independent: entries are off by up to about 0.3 against Monte Carlo, and
+    rows (one rank over elements) have summed to anywhere from 0.19 to 1.63.
+    Columns sum to 1. The rows are left as computed, so the matrix can fail
+    validate_probability_matrix and the approximation stays visible.
     """
     m = profile.size
     mu, var = profile.means, profile.variances
@@ -196,8 +200,6 @@ def rank_probability_matrix(profile: LatentGaussianProfile, renormalize: bool = 
         q = c[:, j]
         p[1:] = p[1:] * (1.0 - q) + p[:-1] * q
         p[0] *= 1.0 - q
-    if renormalize:
-        p /= p.sum(axis=1, keepdims=True)
     return p
 
 

@@ -106,8 +106,9 @@ GRID_KEYS = {
 def cmd_ambiguity_grid(args) -> int:
     if bool(args.model) == bool(args.scheme):
         raise UsageError("give exactly one of --model or --scheme")
-    res = args.res
-    axis = np.linspace(0.0, 1.0, res)
+    if args.res < 1:
+        raise UsageError("--res must be at least 1")
+    axis = np.linspace(0.0, 1.0, args.res)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     if args.model:

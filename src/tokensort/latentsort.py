@@ -8,21 +8,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import SortedCorpus, SortedSequence, TokenSet, atomic_write
-from .sorters import sort_corpus_by_keys
+from .sorters import set_ids
 
 MODEL_FORMAT_VERSION = 1
 
-# Default LGP tie gap (see lgp_terms). With alpha = 1 a latent gap is measured
-# in token units, and 0.1 is the distance below which the planar generator
+# The LGP's target ratio of token distance to latent gap, and its tie gap (see
+# lgp_terms). With alpha = 1 a latent gap is measured in token units, and 0.1
+# is the distance below which the planar generator
 # (PlanarGenConfig.collapse_distance) merges two unit-square points into one
 # node. A beta that only guards the division (say 1e-6) lets one tied pair
 # score ~2 * (d / beta)^2, and such spikes swamp Adam's second moment so that
 # reconstruction hardly learns.
+LGP_ALPHA = 1.0
 LGP_BETA = 0.1
 
 
@@ -196,14 +198,15 @@ def latent_sort_corpus(m: LatentSortModel, values: np.ndarray, sizes) -> SortedC
     as in latent_sort of that set alone.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
-    bounds = np.cumsum(sizes).tolist()
-    raw = np.concatenate([encode_batch(m, values[a:b]) for a, b in zip([0] + bounds, bounds)])
-    corpus = sort_corpus_by_keys(values, sizes, raw)
-    sorted_raw = corpus.raw_keys
-    low = np.repeat(sorted_raw[corpus.starts], sizes)
-    span = np.repeat(sorted_raw[corpus.starts + sizes - 1], sizes) - low
-    norm = np.divide(sorted_raw - low, span, out=np.zeros_like(sorted_raw), where=span > 0)
-    return replace(corpus, keys=norm)
+    starts = np.cumsum(sizes) - sizes
+    raw = np.concatenate([encode_batch(m, values[a : a + k]) for a, k in zip(starts.tolist(), sizes.tolist())])
+    rows_order = np.lexsort((raw, set_ids(sizes)))
+    raw = raw[rows_order]
+    low = np.repeat(raw[starts], sizes)
+    span = np.repeat(raw[starts + sizes - 1], sizes) - low
+    norm = np.divide(raw - low, span, out=np.zeros_like(raw), where=span > 0)
+    local = rows_order - np.repeat(starts, sizes)
+    return SortedCorpus(values[rows_order], sizes, local, keys=norm, raw_keys=raw)
 
 
 def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:
@@ -228,44 +231,30 @@ def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray):
     return float(np.sum(diff * diff) * scale), 2.0 * diff * scale
 
 
-def _lgp_pairs(m: int, literal_endpoints: bool) -> range:
-    """Consecutive-pair indices included in the penalty.
-
-    The literal variant drops the first and last neighbor pairs (the double
-    sum's indices run over interior positions only); the default includes
-    every consecutive pair.
-    """
-    if literal_endpoints:
-        return range(1, m - 2)
-    return range(0, m - 1)
-
-
 def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
-                literal_endpoints: bool, sizes: np.ndarray | None = None):
+                sizes: np.ndarray | None = None):
     """LGP of B sets of M tokens each, already sorted by latent.
 
     xs: (B, M, N) tokens, hs: (B, M) latents, both in ascending-latent order.
-    With `sizes`, set b is padded: only its first sizes[b] tokens are real,
-    and every pair that reaches past them is masked to exactly +0.0 loss and
-    gradient. Returns per-set losses (B,) and gradients w.r.t. hs (B, M),
-    equal bit for bit to evaluating lgp_terms' formula pair by pair on each
-    set's real tokens: distances are the BLAS dot products a 1-D
-    np.linalg.norm takes, and each set's terms are added in pair order.
+    Every consecutive pair is penalized. With `sizes`, set b is padded: only
+    its first sizes[b] tokens are real, and every pair that reaches past them
+    is masked to exactly +0.0 loss and gradient. Returns per-set losses (B,)
+    and gradients w.r.t. hs (B, M), equal bit for bit to evaluating
+    lgp_terms' formula pair by pair on each set's real tokens: distances are
+    the BLAS dot products a 1-D np.linalg.norm takes, and each set's terms
+    are added in pair order.
     """
     b, m = hs.shape
-    pairs = _lgp_pairs(m, literal_endpoints)
-    lo, hi = pairs.start, max(pairs.stop, pairs.start)
-    diff = xs[:, lo:hi] - xs[:, lo + 1 : hi + 1]
+    diff = xs[:, :-1] - xs[:, 1:]
     d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    h_left, h_right = hs[:, lo:hi], hs[:, lo + 1 : hi + 1]
+    h_left, h_right = hs[:, :-1], hs[:, 1:]
     denom = np.abs(h_left - h_right) + beta
     g = d / denom - alpha
     # d(2 g^2)/ds, chained through s = |h_i - h_{i+1}|
     dl_ds = -4.0 * g * d / (denom * denom)
     dl_dh = np.where(h_left >= h_right, dl_ds, -dl_ds)
     if sizes is not None:
-        # pair i of set b is penalized when it is in _lgp_pairs(sizes[b])
-        real = np.arange(lo, hi) < (sizes - (m - pairs.stop))[:, None]
+        real = np.arange(m - 1) < (sizes - 1)[:, None]  # pair i is real when token i + 1 is
         g = np.where(real, g, 0.0)
         dl_dh = np.where(real, dl_dh, 0.0)
     loss = np.zeros(b)
@@ -274,18 +263,19 @@ def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
     # a masked +0.0 is added to a position before any real term is taken
     # from it, so each real gradient comes out as in the unpadded set
     grad_h = np.zeros((b, m))
-    grad_h[:, lo:hi] += dl_dh
-    grad_h[:, lo + 1 : hi + 1] -= dl_dh
+    grad_h[:, :-1] += dl_dh
+    grad_h[:, 1:] -= dl_dh
     return loss, grad_h
 
 
-def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int], cfg: TrainConfig):
+def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int]):
     """LGP of consecutive token sets of the given sizes in x (T, N) with
-    latents h (T,). Each set is ranked by a stable argsort of its latents and
-    only consecutive pairs of that order are penalized. Sets of several sizes
-    are padded to the largest: a padded slot's NaN latent sorts after every
-    real one, and _lgp_sorted masks its pairs. Returns the sum of the set
-    losses, added in set order, and the gradient w.r.t. h (T,).
+    latents h (T,), at LGP_ALPHA and LGP_BETA. Each set is ranked by a stable
+    argsort of its latents and only consecutive pairs of that order are
+    penalized. Sets of several sizes are padded to the largest: a padded
+    slot's NaN latent sorts after every real one, and _lgp_sorted masks its
+    pairs. Returns the sum of the set losses, added in set order, and the
+    gradient w.r.t. h (T,).
     """
     sizes = np.asarray(sizes)
     m = int(sizes.max())
@@ -300,8 +290,8 @@ def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int], cfg: TrainConfig)
         hs = h[rows]
     order = np.argsort(hs, axis=1, kind="stable")
     rows = np.take_along_axis(rows, order, axis=1)
-    losses, grad = _lgp_sorted(x[rows], np.take_along_axis(hs, order, axis=1), cfg.alpha, cfg.beta,
-                               cfg.lgp_literal_endpoints, sizes if ragged else None)
+    losses, grad = _lgp_sorted(x[rows], np.take_along_axis(hs, order, axis=1), LGP_ALPHA, LGP_BETA,
+                               sizes if ragged else None)
     grad_h = np.zeros_like(h)
     if ragged:
         grad_h[rows[real]] = grad[real]  # real tokens still fill each set's first slots
@@ -310,11 +300,10 @@ def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int], cfg: TrainConfig)
     return float(np.cumsum(losses)[-1]), grad_h  # cumsum adds in order; sum() would not
 
 
-def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: float,
-              literal_endpoints: bool = False):
+def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: float):
     """Loss and gradient w.r.t. the sorted latents.
 
-    For each included consecutive pair, g = ||x_i - x_{i+1}|| / (|h_i - h_{i+1}| + beta) - alpha.
+    For each consecutive pair, g = ||x_i - x_{i+1}|| / (|h_i - h_{i+1}| + beta) - alpha.
     Each unordered pair appears twice in the symmetric double sum, so the
     returned loss is sum(2 * g^2).
 
@@ -323,9 +312,9 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
     tied latent scores at most 2 * (d / beta - alpha)^2. The penalty is zero
     at gap d / alpha - beta, and pairs closer than alpha * beta are drawn
     together rather than apart. Training evaluates the same terms batched, in
-    _lgp_sorted.
+    _lgp_sorted, at LGP_ALPHA and LGP_BETA.
     """
-    loss, grad_h = _lgp_sorted(x_sorted[None], h_sorted[None], alpha, beta, literal_endpoints)
+    loss, grad_h = _lgp_sorted(x_sorted[None], h_sorted[None], alpha, beta)
     return float(loss[0]), grad_h[0]
 
 
@@ -336,22 +325,18 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters. The LGP terms (see lgp_terms) are weighted by
-    lgp_coefficient; alpha is the target ratio of token distance to latent
-    gap, and beta the latent gap below which distinct tokens count as tied."""
+    """Training hyperparameters. The LGP terms (see lgp_terms, at LGP_ALPHA
+    and LGP_BETA) are weighted by lgp_coefficient."""
 
     epochs: int = 200
     batch_size: int = 64
     lgp_coefficient: float = 0.05
-    alpha: float = 1.0
-    beta: float = LGP_BETA
     seed: int = 0
     hidden_sizes: tuple = (64, 64)
-    lgp_literal_endpoints: bool = False
 
     def validate(self) -> None:
-        if self.lgp_coefficient < 0 or self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("require lgp_coefficient >= 0, alpha > 0, beta > 0")
+        if self.lgp_coefficient < 0:
+            raise ValueError("require lgp_coefficient >= 0")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
@@ -393,7 +378,7 @@ def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: Trai
     recon, grad_xhat = reconstruction_loss(x, x_hat)
     grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat, dec_buf)
 
-    lgp_total, grad_h_lgp = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets], cfg)
+    lgp_total, grad_h_lgp = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets])
     lgp_mean = lgp_total / len(sets)
 
     grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
@@ -577,14 +562,20 @@ def save_model(m: LatentSortModel, path) -> None:
 
 def load_model(path) -> LatentSortModel:
     with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {obj.get('version')!r}")
-    model = LatentSortModel(
-        _mlp_from_obj(obj["encoder"]),
-        _mlp_from_obj(obj["decoder"]),
-        int(obj["token_dim"]),
-        meta=obj.get("meta", {}),
-    )
-    model.validate()
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+        if obj.get("version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {obj.get('version')!r}")
+        model = LatentSortModel(
+            _mlp_from_obj(obj["encoder"]),
+            _mlp_from_obj(obj["decoder"]),
+            int(obj["token_dim"]),
+            meta=obj.get("meta", {}),
+        )
+        model.validate()
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid model file: {type(exc).__name__}: {exc}") from exc
     return model

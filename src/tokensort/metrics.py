@@ -19,11 +19,15 @@ class SinkhornError(RuntimeError):
         self.violation = violation
 
 
+# Sinkhorn stops once both marginals are within SINKHORN_TOL (summed absolute
+# violation), and fails with SinkhornError after SINKHORN_MAX_ITERS iterations.
+SINKHORN_MAX_ITERS = 1000
+SINKHORN_TOL = 1e-6
+
+
 @dataclass
 class SinkhornConfig:
     epsilon: float = 0.01
-    max_iters: int = 1000
-    tol: float = 1e-6
     samples: int = 100
 
     def validate(self) -> None:
@@ -81,7 +85,7 @@ def sample_edge_points(g: Graph, samples: int) -> np.ndarray:
     return starts[idx] + local[:, None] * (ends[idx] - starts[idx])
 
 
-def _sinkhorn_plan(cost: np.ndarray, eps: float, max_iters: int, tol: float):
+def _sinkhorn_plan(cost: np.ndarray, eps: float):
     """Log-domain Sinkhorn with uniform marginals. Returns the plan."""
     n, m = cost.shape
     log_a = -math.log(n)
@@ -89,7 +93,7 @@ def _sinkhorn_plan(cost: np.ndarray, eps: float, max_iters: int, tol: float):
     f = np.zeros(n)
     g = np.zeros(m)
     violation = np.inf
-    for _ in range(max_iters):
+    for _ in range(SINKHORN_MAX_ITERS):
         # f-update enforces row marginals, g-update column marginals
         mat = (f[:, None] + g[None, :] - cost) / eps
         f = f + eps * (log_a - _logsumexp_rows(mat))
@@ -100,7 +104,7 @@ def _sinkhorn_plan(cost: np.ndarray, eps: float, max_iters: int, tol: float):
             float(np.abs(plan.sum(axis=1) - 1.0 / n).sum()),
             float(np.abs(plan.sum(axis=0) - 1.0 / m).sum()),
         )
-        if violation < tol:
+        if violation < SINKHORN_TOL:
             return plan
     raise SinkhornError(violation)
 
@@ -112,7 +116,7 @@ def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
 
 def _transport_cost(a: np.ndarray, b: np.ndarray, cfg: SinkhornConfig) -> float:
     cost = _pairwise_sq(a, b)
-    plan = _sinkhorn_plan(cost, cfg.epsilon, cfg.max_iters, cfg.tol)
+    plan = _sinkhorn_plan(cost, cfg.epsilon)
     return float(np.sum(plan * cost))
 
 
@@ -165,24 +169,19 @@ def set_prf(x: TokenSet, y: TokenSet, match_tol: float = 0.0) -> dict[str, float
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-def _base_loss(pred: np.ndarray, gt: np.ndarray, kind: str) -> float:
+def _elastic_loss(pred: np.ndarray, gt: np.ndarray) -> float:
     diff = pred - gt
-    if kind == "l1":
-        return float(np.mean(np.abs(diff)))
-    if kind == "l2":
-        return float(np.mean(diff * diff))
-    if kind == "elastic":
-        return float(np.mean(np.abs(diff)) + np.mean(diff * diff))
-    raise ValueError(f"unknown base loss {kind!r}")
+    return float(np.mean(np.abs(diff)) + np.mean(diff * diff))
 
 
-def undirected_loss(y_pred: SortedSequence, y_gt: SortedSequence, base_loss: str = "elastic") -> float:
-    """Loss against the target plus loss against the target with edge
-    endpoints swapped, so both orientations of an undirected edge count."""
+def undirected_loss(y_pred: SortedSequence, y_gt: SortedSequence) -> float:
+    """Elastic loss (mean absolute plus mean squared error) against the
+    target plus the same loss against the target with edge endpoints
+    swapped, so both orientations of an undirected edge count."""
     if y_pred.rows.shape != y_gt.rows.shape:
         raise ValueError("shape mismatch")
     swapped = swap_endpoints(y_gt)
-    return _base_loss(y_pred.rows, y_gt.rows, base_loss) + _base_loss(y_pred.rows, swapped.rows, base_loss)
+    return _elastic_loss(y_pred.rows, y_gt.rows) + _elastic_loss(y_pred.rows, swapped.rows)
 
 
 def size_diff(x: TokenSet, y: TokenSet) -> int:

@@ -296,12 +296,6 @@ def test_rank_matrix_degenerate_variances():
     assert np.array_equal(p, np.repeat(binom[:, None], 5, axis=1))
 
 
-def test_rank_matrix_renormalize_rows():
-    prof = LatentGaussianProfile(np.array([0.0, 0.3, 0.6]), np.full(3, 0.4))
-    p = rank_probability_matrix(prof, renormalize=True)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
 def _well_separated_profile(rng, m):
     sigma = rng.uniform(0.005, 0.02, size=m)
     mu = np.cumsum(1.0 + rng.uniform(size=m))

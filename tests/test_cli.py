@@ -159,6 +159,26 @@ def test_ambiguity_grid_needs_one_source(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("res", ["0", "-3"])
+def test_ambiguity_grid_rejects_empty_grid(res, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["ambiguity-grid", "--scheme", "summation", "--res", res, "--out", str(out)]) == 2
+    assert "--res" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ['{"version": 1, "token_dim": 2}', "[1, 2]", "{", '"model"'],
+                         ids=["no-layers", "list", "truncated", "string"])
+def test_malformed_model_file(content, sets_file, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(content)
+    out = tmp_path / "out.jsonl"
+    assert main(["sort", "--scheme", "latent", "--model", str(model),
+                 "--in", sets_file, "--out", str(out)]) == 1
+    assert f"tokensort: {model}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_command(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

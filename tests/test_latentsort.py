@@ -6,13 +6,14 @@ import pytest
 from tokensort.core import TokenSet
 from tokensort.latentsort import (
     FINAL_LR,
+    LGP_ALPHA,
+    LGP_BETA,
     PEAK_LR,
     WARMUP_FRAC,
     WARMUP_INIT_LR,
     AdamState,
     TrainConfig,
     _lgp_batch,
-    _lgp_pairs,
     batch_losses_and_grads,
     encode_batch,
     init_model,
@@ -102,14 +103,14 @@ def test_lgp_gradient_direct():
         msize = int(rng.integers(3, 7))
         x = rng.uniform(size=(msize, int(rng.integers(2, 4))))
         h = np.cumsum(0.5 + rng.uniform(size=msize))
-        _, gh = lgp_terms(x, h, 1.0, 1e-6, False)
+        _, gh = lgp_terms(x, h, 1.0, 1e-6)
         for i in range(msize):
             hp = h.copy()
             hp[i] += FD_STEP
             hm = h.copy()
             hm[i] -= FD_STEP
-            fd = (lgp_terms(x, hp, 1.0, 1e-6, False)[0]
-                  - lgp_terms(x, hm, 1.0, 1e-6, False)[0]) / (2 * FD_STEP)
+            fd = (lgp_terms(x, hp, 1.0, 1e-6)[0]
+                  - lgp_terms(x, hm, 1.0, 1e-6)[0]) / (2 * FD_STEP)
             worst = max(worst, abs(fd - gh[i]) / max(abs(fd), abs(gh[i]), 1e-8))
     assert worst < 1e-4
 
@@ -118,7 +119,7 @@ def test_lgp_zero_when_gaps_match_distances():
     # colinear points with latent gaps equal to distances: every g term is 0
     x = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     h = np.array([0.0, 1.0, 3.0])
-    loss, gh = lgp_terms(x, h, 1.0, 1e-6, False)
+    loss, gh = lgp_terms(x, h, 1.0, 1e-6)
     assert loss < 1e-10
     # beta keeps each g at about -1e-6 instead of exactly zero
     assert np.allclose(gh, 0.0, atol=1e-5)
@@ -128,20 +129,9 @@ def test_lgp_tied_pair_bounded_at_default_beta():
     # two distinct unit-square tokens on one latent are the penalty's worst
     # case; a beta that only guards the division (1e-6) scores this pair
     # ~4e12, and such spikes swamp Adam's second moment during training
-    cfg = TrainConfig()
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
-    loss, _ = lgp_terms(x, np.zeros(2), cfg.alpha, cfg.beta)
+    loss, _ = lgp_terms(x, np.zeros(2), LGP_ALPHA, LGP_BETA)
     assert loss < 1e3
-
-
-def test_lgp_literal_endpoint_flag():
-    rng = np.random.default_rng(1)
-    x = rng.uniform(size=(5, 2))
-    h = np.cumsum(1.0 + rng.uniform(size=5))
-    full, _ = lgp_terms(x, h, 1.0, 1e-6, False)
-    inner, _ = lgp_terms(x, h, 1.0, 1e-6, True)
-    # dropping the first and last pair removes their contributions
-    assert inner < full
 
 
 def test_reconstruction_loss_mean_squared():
@@ -238,12 +228,12 @@ def test_model_version_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _loop_lgp_terms(x_sorted, h_sorted, alpha, beta, literal_endpoints):
+def _loop_lgp_terms(x_sorted, h_sorted, alpha, beta):
     """The LGP pair by pair, distances by 1-D np.linalg.norm."""
     m = x_sorted.shape[0]
     grad_h = np.zeros(m)
     loss = 0.0
-    for i in _lgp_pairs(m, literal_endpoints):
+    for i in range(m - 1):
         d = float(np.linalg.norm(x_sorted[i] - x_sorted[i + 1]))
         s = float(abs(h_sorted[i] - h_sorted[i + 1]))
         denom = s + beta
@@ -256,8 +246,9 @@ def _loop_lgp_terms(x_sorted, h_sorted, alpha, beta, literal_endpoints):
     return loss, grad_h
 
 
-def _loop_lgp_batch(sets, h, alpha, beta, literal_endpoints):
-    """Sum of per-set losses in set order and the gradient w.r.t. h."""
+def _loop_lgp_batch(sets, h):
+    """Sum of per-set losses in set order and the gradient w.r.t. h, at
+    LGP_ALPHA and LGP_BETA."""
     grad_h = np.zeros_like(h)
     total = 0.0
     offset = 0
@@ -265,7 +256,7 @@ def _loop_lgp_batch(sets, h, alpha, beta, literal_endpoints):
         msize = s.shape[0]
         hs = h[offset : offset + msize]
         order = np.argsort(hs, kind="stable")
-        loss, gh_sorted = _loop_lgp_terms(s[order], hs[order], alpha, beta, literal_endpoints)
+        loss, gh_sorted = _loop_lgp_terms(s[order], hs[order], LGP_ALPHA, LGP_BETA)
         total += loss
         grad_h[offset + order] = gh_sorted
         offset += msize
@@ -305,8 +296,7 @@ def _loop_losses_and_grads(m, sets, cfg):
     x_hat, dec_acts = _ref_forward(m.decoder, h_col)
     recon, grad_xhat = reconstruction_loss(x, x_hat)
     grad_h_dec, dec_gw, dec_gb = _ref_backward(m.decoder, dec_acts, grad_xhat)
-    lgp_total, grad_h_lgp = _loop_lgp_batch(sets, h_col[:, 0], cfg.alpha, cfg.beta,
-                                            cfg.lgp_literal_endpoints)
+    lgp_total, grad_h_lgp = _loop_lgp_batch(sets, h_col[:, 0])
     grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
     _, enc_gw, enc_gb = _ref_backward(m.encoder, enc_acts, grad_h)
     return recon, lgp_total / len(sets), enc_gw + enc_gb + dec_gw + dec_gb
@@ -370,8 +360,7 @@ def _ragged_sets(rng, count, dim, snap=None):
     return sets
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_lgp_batch_matches_loop_oracle(literal):
+def test_lgp_batch_matches_loop_oracle():
     rng = np.random.default_rng(21)
     for trial in range(30):
         dim = int(rng.integers(1, 5))
@@ -380,29 +369,26 @@ def test_lgp_batch_matches_loop_oracle(literal):
         h = rng.normal(size=sum(sizes))
         if trial % 2:
             h = np.round(h * 2) / 2  # exact latent ties between distinct tokens
-        cfg = TrainConfig(lgp_literal_endpoints=literal)
-        total, grad_h = _lgp_batch(np.concatenate(sets), h, sizes, cfg)
-        ref_total, ref_grad = _loop_lgp_batch(sets, h, cfg.alpha, cfg.beta, literal)
+        total, grad_h = _lgp_batch(np.concatenate(sets), h, sizes)
+        ref_total, ref_grad = _loop_lgp_batch(sets, h)
         assert total == ref_total
         assert np.array_equal(grad_h, ref_grad)
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_lgp_terms_matches_loop_oracle(literal):
+def test_lgp_terms_matches_loop_oracle():
     rng = np.random.default_rng(22)
     for msize in range(1, 29):
         x = rng.uniform(size=(msize, 4))
         h = np.sort(np.round(rng.normal(size=msize) * 3) / 3)
-        loss, gh = lgp_terms(x, h, 1.0, 0.1, literal)
-        ref_loss, ref_gh = _loop_lgp_terms(x, h, 1.0, 0.1, literal)
+        loss, gh = lgp_terms(x, h, 1.0, 0.1)
+        ref_loss, ref_gh = _loop_lgp_terms(x, h, 1.0, 0.1)
         assert loss == ref_loss
         assert np.array_equal(gh, ref_gh)
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_batch_losses_and_grads_match_loop_oracle(literal):
+def test_batch_losses_and_grads_match_loop_oracle():
     rng = np.random.default_rng(23)
-    cfg = TrainConfig(lgp_coefficient=0.05, lgp_literal_endpoints=literal)
+    cfg = TrainConfig(lgp_coefficient=0.05)
     for trial in range(6):
         dim = (2, 4)[trial % 2]
         m = init_model(dim, hidden_sizes=(9, 7), seed=trial)
@@ -412,12 +398,11 @@ def test_batch_losses_and_grads_match_loop_oracle(literal):
         assert (recon, lgp) == (ref_recon, ref_lgp)
         assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
         h = encode_batch(m, np.concatenate(sets))
-        ref_total, _ = _loop_lgp_batch(sets, h, cfg.alpha, cfg.beta, literal)
+        ref_total, _ = _loop_lgp_batch(sets, h)
         assert total_loss(m, sets, cfg) == ref_recon + cfg.lgp_coefficient * (ref_total / len(sets))
 
 
-@pytest.mark.parametrize("literal", [False, True])
-def test_train_matches_loop_oracle(literal, tmp_path):
+def test_train_matches_loop_oracle(tmp_path):
     rng = np.random.default_rng(24)
     # equal-size 2-D sets, then ragged 4-D sets with grid-snapped ties: the
     # second run's batches have other row counts, so buffers left over from
@@ -427,8 +412,7 @@ def test_train_matches_loop_oracle(literal, tmp_path):
         [TokenSet(s) for s in _ragged_sets(rng, 40, 4)] + [TokenSet(s) for s in _ragged_sets(rng, 10, 4, snap=2)],
     ]
     for k, data in enumerate(corpora):
-        cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(12, 8), seed=3 + k,
-                          lgp_literal_endpoints=literal)
+        cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(12, 8), seed=3 + k)
         model, hist = train(data, cfg)
         ref_model, ref_hist = _ref_train(data, cfg)
         assert hist == ref_hist

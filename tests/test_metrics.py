@@ -141,21 +141,13 @@ def test_undirected_loss_swap_invariance():
     gt = SortedSequence(rng.normal(size=(4, 4)))
     swapped = SortedSequence(np.hstack([gt.rows[:, 2:], gt.rows[:, :2]]))
     pred = SortedSequence(rng.normal(size=(4, 4)))
-    for kind in ("l1", "l2", "elastic"):
-        assert undirected_loss(pred, gt, kind) == pytest.approx(
-            undirected_loss(pred, swapped, kind))
+    assert undirected_loss(pred, gt) == pytest.approx(undirected_loss(pred, swapped))
 
 
 def test_undirected_loss_zero_needs_both_orientations():
     gt = SortedSequence(np.array([[0.0, 0.0, 1.0, 1.0]]))
-    loss_self = undirected_loss(gt, gt, "l2")
+    loss_self = undirected_loss(gt, gt)
     assert loss_self > 0  # the swapped target still differs from pred
-
-
-def test_undirected_loss_base_kind():
-    seq = SortedSequence(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        undirected_loss(seq, seq, "cosine")
 
 
 def test_size_diff_signed():

@@ -5,7 +5,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from tokensort import analysis, metrics
+from dataclasses import replace
+
+import numpy as np
+
+from tokensort import analysis, datagen, latentsort, metrics, tspbench
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -41,3 +45,20 @@ def test_checked_attributes_exist():
     sinkhorn = metrics.SinkhornConfig()
     assert sinkhorn.samples >= 1
     assert sinkhorn.epsilon > 0
+
+
+def test_config_fields_and_call_shapes():
+    # the configs perfbench/workloads.py builds and the calls it and
+    # perfbench/checks.py make, so that cutting a setting cannot break them
+    cfg = latentsort.TrainConfig(epochs=1, lgp_coefficient=0.01, seed=2)
+    bench = tspbench.BenchConfig(seed=3)
+    assert replace(bench.train, seed=3).seed == 3
+    assert bench.set_size >= 2 and bench.n_train_sets >= 1
+    gen = datagen.PlanarGenConfig(seed=4)
+    assert gen.collapse_distance > 0 and gen.min_edge_angle_degrees > 0
+    profile = analysis.LatentGaussianProfile(np.array([0.0, 1.0]), np.array([0.1, 0.2]))
+    assert analysis.rank_probability_matrix(profile).shape == (2, 2)
+    model = latentsort.init_model(2, hidden_sizes=(3,), seed=cfg.seed)
+    batch = [np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([[0.5, 0.5]])]
+    recon, lgp, grads = latentsort.batch_losses_and_grads(model, batch, cfg)
+    assert recon >= 0 and lgp >= 0 and len(grads) == len(model.params())
