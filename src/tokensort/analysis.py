@@ -27,13 +27,13 @@ def validate_probability_matrix(p: np.ndarray) -> None:
     p = np.asarray(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"P must be square, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("P entries must be finite")
-    if np.any(p < -ROW_SUM_TOL) or np.any(p > 1 + ROW_SUM_TOL):
+    if p.min() < -ROW_SUM_TOL or p.max() > 1 + ROW_SUM_TOL:
         raise ValueError("P entries must lie in [0, 1]")
-    rows = p.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
-        raise ValueError(f"P rows must sum to 1 (max deviation {np.max(np.abs(rows - 1.0)):.3e})")
+    deviation = np.abs(p.sum(axis=1) - 1.0).max()
+    if deviation > ROW_SUM_TOL:
+        raise ValueError(f"P rows must sum to 1 (max deviation {deviation:.3e})")
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,9 @@ def ambiguity_error(x_star: SortedSequence, groups: list[list[int]]) -> float:
     for g in groups:
         if len(g) == 1:
             continue  # a singleton is its own mean and adds exactly 0.0
-        mean = y[g].mean(axis=0)
-        err += float(np.sum((y[g] - mean) ** 2))
+        members = y[g]
+        mean = members.sum(axis=0) / len(g)  # what members.mean(axis=0) computes
+        err += float(((members - mean) ** 2).sum())
     return err
 
 
@@ -137,7 +138,8 @@ def uniform_ambiguity_P(groups: list[list[int]], m: int) -> np.ndarray:
     p = np.eye(m)  # a singleton keeps its 1.0
     for g in groups:
         if len(g) > 1:
-            p[np.ix_(g, g)] = 1.0 / len(g)
+            idx = np.array(g)
+            p[idx[:, None], idx] = 1.0 / len(g)
     return p
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
-import json
+import functools
+import math
 import sys
 from dataclasses import replace
 
@@ -27,8 +27,8 @@ from .analysis import (
 )
 from .core import (
     SortedSequence,
-    TokenSet,
     atomic_write,
+    read_corpus,
     read_token_sets,
     write_graphs,
     write_sequences,
@@ -67,18 +67,17 @@ def _sort_fn(scheme: str, model_path: str | None):
     return CORPUS_SCHEMES[scheme]
 
 
-def _sorted_corpora(sort, sets: list[TokenSet]):
-    """The sets ordered by `sort`, one SortedCorpus for each run of
-    consecutive sets that share a token dimension (one for most files)."""
-    for _, run in itertools.groupby(sets, key=lambda ts: ts.dim):
-        run = list(run)
-        yield sort(np.concatenate([ts.values for ts in run]), [ts.size for ts in run])
+def _sorted_corpora(sort, path):
+    """The sets of the file ordered by `sort`: the file is read first, then
+    one SortedCorpus is made for each run of consecutive sets that share a
+    token dimension (one for most files)."""
+    runs = read_corpus(path)
+    return (sort(values, sizes) for values, sizes, _ in runs)
 
 
 def cmd_sort(args) -> int:
     sort = _sort_fn(args.scheme, args.model)
-    sets = read_token_sets(args.infile)
-    write_sequences(args.out, _sorted_corpora(sort, sets))
+    write_sequences(args.out, _sorted_corpora(sort, args.infile))
     return 0
 
 
@@ -130,31 +129,53 @@ def cmd_ambiguity_grid(args) -> int:
     return 0
 
 
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# one report entry as json.dumps(report, indent=2, sort_keys=True) lays it
+# out: an item of the top-level list, its keys sorted
+REPORT_ENTRY = """  {
+    "ambiguity_error": %s,
+    "ambiguity_sets": [
+%s
+    ],
+    "index": %d,
+    "set_size": %d,
+    "sorting_error": %s
+  }"""
+
+
+def _groups_text(groups: list[list[int]]) -> str:
+    """The lines of a report entry's "ambiguity_sets" list items."""
+    return ",\n".join("      [\n" + ",\n".join(["        %d" % i for i in g]) + "\n      ]" for g in groups)
+
+
 def cmd_analyze(args) -> int:
     sort = _sort_fn(args.scheme, args.model)
-    sets = read_token_sets(args.infile)
-    # json.dump(report, indent=2, sort_keys=True), one entry at a time: an
-    # entry is a list item, so each of its lines is indented one level more
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    corpora = _sorted_corpora(sort, args.infile)
+    singletons: dict[int, str] = {}  # set size -> _groups_text of a set with no ties
     index = 0
     with atomic_write(args.report) as fh:
-        for corpus in _sorted_corpora(sort, sets):
+        for corpus in corpora:
             groups_of = corpus_ambiguity_sets(corpus)
             for groups, size, start in zip(groups_of, corpus.sizes.tolist(), corpus.starts.tolist()):
-                errors = (0.0, 0.0)  # all groups singletons: P is the identity
-                if len(groups) < size:
+                if len(groups) == size:  # all groups singletons: P is the identity
+                    errors = (0.0, 0.0)
+                    if size not in singletons:
+                        singletons[size] = _groups_text(groups)
+                    groups_text = singletons[size]
+                else:
                     seq = SortedSequence(corpus.rows[start : start + size])
                     p = uniform_ambiguity_P(groups, size)
                     validate_probability_matrix(p)
                     errors = (ambiguity_error(seq, groups), sorting_error(p, seq))
-                entry = {
-                    "index": index,
-                    "set_size": size,
-                    "ambiguity_sets": groups,
-                    "ambiguity_error": errors[0],
-                    "sorting_error": errors[1],
-                }
-                fh.write(("[\n  " if index == 0 else ",\n  ") + encoder.encode(entry).replace("\n", "\n  "))
+                    groups_text = _groups_text(groups)
+                fh.write(("[\n" if index == 0 else ",\n") + REPORT_ENTRY % (
+                    _json_float(errors[0]), groups_text, index, size, _json_float(errors[1])))
                 index += 1
         fh.write("\n]\n" if index else "[]\n")
     return 0
@@ -203,6 +224,7 @@ def cmd_gen_planar(args) -> int:
     return 0
 
 
+@functools.cache  # built once: main runs once per command, and a build costs a millisecond
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="tokensort",
                                 description="token ordering toolkit")

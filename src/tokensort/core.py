@@ -257,8 +257,9 @@ def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def read_token_sets(path) -> list[TokenSet]:
-    out: list[TokenSet] = []
+def _raise_first_bad_line(path) -> None:
+    """Read the file line by line (decode, width check, TokenSet) and raise
+    ValueError naming the first line that fails."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -269,10 +270,60 @@ def read_token_sets(path) -> list[TokenSet]:
                 widths = {len(t) for t in tokens}
                 if len(widths) > 1:
                     raise ValueError(f"ragged token dimensions {sorted(widths)}")
-                ts = TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+                TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
             except Exception as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            out.append(ts)
+
+
+def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
+    """The token sets of a file as (values, sizes, ids) for each run of
+    consecutive sets that share a token dimension: values (T, N) holds the
+    run's tokens set after set, sizes the sets' token counts and ids their
+    "id" fields (None where absent).
+
+    Each line is decoded and width-checked on its own, and each run becomes
+    one array with one finiteness check. When a line or a run fails, the file
+    is read again line by line, which raises ValueError naming the first
+    failing line and why it fails.
+    """
+    runs: list[tuple[int, list, list[int], list]] = []
+    try:
+        with open(path) as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                tokens = obj["tokens"]
+                widths = set(map(len, tokens))
+                if type(tokens) is not list or len(widths) != 1 or 0 in widths:
+                    raise ValueError("not a list of tokens of one width")
+                width = widths.pop()
+                if not runs or runs[-1][0] != width:
+                    runs.append((width, [], [], []))
+                _, rows, sizes, ids = runs[-1]
+                rows += tokens
+                sizes.append(len(tokens))
+                ids.append(obj.get("id"))
+        out = []
+        for width, rows, sizes, ids in runs:
+            values = np.array(rows, dtype=np.float64)
+            if values.shape != (len(rows), width) or not np.isfinite(values).all():
+                raise ValueError("not a finite matrix")
+            out.append((values, sizes, ids))
+        return out
+    except Exception:
+        _raise_first_bad_line(path)
+        raise
+
+
+def read_token_sets(path) -> list[TokenSet]:
+    """The token sets of a file, in order (see read_corpus)."""
+    out: list[TokenSet] = []
+    for values, sizes, ids in read_corpus(path):
+        end = 0
+        for size, id_ in zip(sizes, ids):
+            out.append(TokenSet(values[end : end + size], id=id_))
+            end += size
     return out
 
 
@@ -306,23 +357,39 @@ def read_graphs(path) -> list[Graph]:
     return out
 
 
+def _item_texts(a: np.ndarray | None) -> list[str] | None:
+    """What json.dumps writes for each item of a 1-D or 2-D array, from one
+    encode of the whole array: a float's text, or a row's inside its
+    brackets. The array's text is cut at ", " or "], [", which no float's
+    text contains."""
+    if a is None:
+        return None
+    if a.ndim == 1:
+        return json.dumps(a.tolist())[1:-1].split(", ")
+    return json.dumps(a.tolist())[2:-2].split("], [")
+
+
 def write_sequences(path, seqs: Iterable[SortedSequence | SortedCorpus]) -> None:
     """One line per sorted set, {"rows": ..., "keys": ..., "raw_keys": ...}
     as json.dumps writes it, without the key fields a sequence lacks. A
     SortedSequence is one set, a SortedCorpus one line for each of its sets,
-    in order. Lines are written as they are made."""
+    in order. Lines are written as they are made.
+
+    Each array is encoded once (see _item_texts) and each line joined from
+    its sets' items, in the bytes json.dumps writes for the set's slices.
+    """
     with atomic_write(path) as fh:
         for s in seqs:
+            rows, keys = _item_texts(s.rows), _item_texts(s.keys)
+            # a key sort's raw keys are its keys: encode them once
+            raw = keys if s.raw_keys is s.keys else _item_texts(s.raw_keys)
             end = 0
             for size in s.sizes.tolist() if isinstance(s, SortedCorpus) else [s.size]:
                 part = slice(end, end + size)
                 end += size
-                line = '{"rows": ' + json.dumps(s.rows[part].tolist())
-                if s.keys is not None:
-                    keys = json.dumps(s.keys[part].tolist())
-                    line += ', "keys": ' + keys
-                if s.raw_keys is not None:
-                    # a key sort's raw keys are its keys: encode them once
-                    raw = keys if s.raw_keys is s.keys else json.dumps(s.raw_keys[part].tolist())
-                    line += ', "raw_keys": ' + raw
+                line = ('{"rows": [[' + "], [".join(rows[part]) + "]]") if size else '{"rows": []'
+                if keys is not None:
+                    line += ', "keys": [' + ", ".join(keys[part]) + "]"
+                if raw is not None:
+                    line += ', "raw_keys": [' + ", ".join(raw[part]) + "]"
                 fh.write(line + "}\n")

@@ -42,12 +42,13 @@ def _matrix(flat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b into out. An inner dimension of 1 makes it an outer product,
-    which broadcasting computes without gemm. The values are gemm's, except
-    that a product of exactly zero keeps its sign where gemm, adding it to
-    +0, gives +0; every use adds a bias to it or sums it from +0 (matmul and
-    np.sum both do), so what training computes is unchanged."""
-    if a.shape[1] == 1:
+    """a @ b into out, a stacked over any leading dimensions. An inner
+    dimension of 1 makes it an outer product, which broadcasting computes
+    without gemm. The values are gemm's, except that a product of exactly
+    zero keeps its sign where gemm, adding it to +0, gives +0; every use adds
+    a bias to it or sums it from +0 (matmul and np.sum both do), so what
+    training computes is unchanged."""
+    if a.shape[-1] == 1:
         return np.multiply(a, b, out=out)
     return np.matmul(a, b, out=out)
 
@@ -101,11 +102,18 @@ class Mlp:
     def forward(self, x: np.ndarray, buffers: MlpBuffers | None = None):
         """Batched forward pass. x: (B, in). Returns output (B, out) and the
         per-layer activations needed for backprop. With buffers the
-        activations are views of buffers.outs, valid until the next pass."""
+        activations are views of buffers.outs, valid until the next pass.
+
+        Without buffers x may be stacked, (..., B, in), for an output
+        (..., B, out). matmul runs BLAS on each (B, in) item with that item's
+        shape, so each item's output is bit for bit its own pass's."""
         acts = [x]
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = _matrix(None if buffers is None else buffers.outs[l], len(x), w.shape[1])
+            if buffers is None:
+                z = np.empty(x.shape[:-1] + (w.shape[1],))
+            else:
+                z = _matrix(buffers.outs[l], len(x), w.shape[1])
             _matmul(acts[-1], w, z)
             z += b
             if l != last:
@@ -179,10 +187,12 @@ def init_model(n: int, hidden_sizes=(64, 64), seed: int = 0) -> LatentSortModel:
 
 
 def encode_batch(m: LatentSortModel, x: np.ndarray) -> np.ndarray:
-    if x.shape[1] != m.token_dim:
-        raise ValueError(f"token dimension {x.shape[1]} != model dimension {m.token_dim}")
+    """Latents of tokens x (B, N), or of stacked sets (..., B, N), each set
+    encoded as in a pass of its own (see Mlp.forward)."""
+    if x.shape[-1] != m.token_dim:
+        raise ValueError(f"token dimension {x.shape[-1]} != model dimension {m.token_dim}")
     h, _ = m.encoder.forward(x)
-    return h[:, 0]
+    return h[..., 0]
 
 
 def decode_batch(m: LatentSortModel, h: np.ndarray) -> np.ndarray:
@@ -193,13 +203,21 @@ def decode_batch(m: LatentSortModel, h: np.ndarray) -> np.ndarray:
 def latent_sort_corpus(m: LatentSortModel, values: np.ndarray, sizes) -> SortedCorpus:
     """latent_sort of every set of a corpus.
 
-    Each set is encoded by its own forward pass: how many rows a pass holds
-    can change the last bits of a latent, so a set's keys are the same here
-    as in latent_sort of that set alone.
+    How many rows a pass holds can change the last bits of a latent, so each
+    set is encoded as a pass of its own: the sets of each size are stacked
+    into one pass, (B, M, N), whose items are BLAS calls of one set's shape.
+    A set's keys are the same here as in latent_sort of that set alone.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    raw = np.concatenate([encode_batch(m, values[a : a + k]) for a, k in zip(starts.tolist(), sizes.tolist())])
+    set_sizes = set(sizes.tolist())
+    if len(set_sizes) == 1:  # the corpus is already stacked
+        raw = encode_batch(m, values.reshape(len(sizes), -1, values.shape[1])).ravel()
+    else:
+        raw = np.empty(len(values))
+        for k in set_sizes:
+            rows = starts[sizes == k][:, None] + np.arange(k)
+            raw[rows] = encode_batch(m, values[rows])
     rows_order = np.lexsort((raw, set_ids(sizes)))
     raw = raw[rows_order]
     low = np.repeat(raw[starts], sizes)

@@ -49,12 +49,18 @@ def mean_squared_keys(values: np.ndarray) -> np.ndarray:
     """Negated mean of squared components, so larger-magnitude tokens sort first.
 
     Raises ValueError when a key overflows (components above about 1e154):
-    an infinite key would tie tokens whose true keys differ.
+    an infinite key would tie tokens whose true keys differ. Raises it too
+    when a token with a non-zero component gets a key below the smallest
+    normal float64 in magnitude (components below about 1e-154): such keys
+    lose their bits or flush to -0.0, the key of an all-zero token.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         keys = -np.mean(values * values, axis=1)
     if not np.isfinite(keys).all():
         raise ValueError("mean-squared key overflows float64: token components too large to square")
+    tiny = np.abs(keys) < np.finfo(np.float64).tiny
+    if tiny.any() and values[tiny].any():
+        raise ValueError("mean-squared key underflows float64: token components too small to square")
     return keys
 
 

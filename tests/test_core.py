@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from tokensort.core import (
     Graph,
+    SortedCorpus,
     SortedSequence,
     TokenSet,
     edge_token,
+    read_corpus,
     read_graphs,
     read_token_sets,
     swap_endpoints,
@@ -172,6 +174,121 @@ def test_writers_match_per_element_float_bytes(tmp_path):
     }
     for name, obj in ref.items():
         assert (tmp_path / name).read_bytes() == (json.dumps(obj) + "\n").encode()
+
+
+# floats whose json.dumps text is irregular: signed zero, the smallest
+# subnormal, exponent forms on both sides, the largest magnitudes, a long repr
+ODD_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 1.5e308, -1.5e308, 0.1 + 0.2, 123456789.125]
+
+
+@pytest.mark.parametrize("sizes", [[1], [8], [1, 1, 1, 1, 1, 1, 1, 1], [3, 1, 4], [0, 8]])
+@pytest.mark.parametrize("key_kind", ["none", "shared", "separate"])
+def test_write_sequences_matches_json_dumps_per_line(tmp_path, sizes, key_kind):
+    # each array is encoded once and cut into items; every line must still be
+    # the bytes json.dumps writes for its set's slices
+    rows = np.array([ODD_FLOATS, ODD_FLOATS[::-1]]).T.copy()
+    keys = np.array(ODD_FLOATS[3:] + ODD_FLOATS[:3])
+    raw = {"none": None, "shared": keys, "separate": keys[::-1].copy()}[key_kind]
+    corpus = SortedCorpus(rows, np.array(sizes), np.zeros(8, dtype=np.intp),
+                          keys=None if key_kind == "none" else keys, raw_keys=raw)
+    write_sequences(tmp_path / "c.jsonl", [corpus, corpus])
+    lines, end = [], 0
+    for size in sizes:
+        obj = {"rows": rows[end : end + size].tolist()}
+        if corpus.keys is not None:
+            obj["keys"] = keys[end : end + size].tolist()
+            obj["raw_keys"] = raw[end : end + size].tolist()
+        lines.append(json.dumps(obj) + "\n")
+        end += size
+    assert (tmp_path / "c.jsonl").read_text() == "".join(lines) * 2
+
+
+def test_write_sequences_one_column_and_empty(tmp_path):
+    one = SortedSequence(np.array([[x] for x in ODD_FLOATS]), keys=np.sort(ODD_FLOATS))
+    write_sequences(tmp_path / "s.jsonl", [one])
+    ref = {"rows": [[x] for x in ODD_FLOATS], "keys": sorted(ODD_FLOATS)}
+    assert (tmp_path / "s.jsonl").read_text() == json.dumps(ref) + "\n"
+    write_sequences(tmp_path / "e.jsonl", [])
+    assert (tmp_path / "e.jsonl").read_bytes() == b""
+
+
+def _oracle_read_token_sets(path) -> list[TokenSet]:
+    # the former read_token_sets, line by line, kept as the parity oracle
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                tokens = obj["tokens"]
+                widths = {len(t) for t in tokens}
+                if len(widths) > 1:
+                    raise ValueError(f"ragged token dimensions {sorted(widths)}")
+                ts = TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+            except Exception as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            out.append(ts)
+    return out
+
+
+GOOD = '{"tokens": [[1.5, 2.0], [0.25, -3.0]]}'
+READ_CASES = {
+    "bad json": [GOOD, "not json"],
+    "bad json after a bad run": [GOOD, '{"tokens": [[NaN, 1.0]]}', GOOD, "{"],
+    "missing tokens": [GOOD, '{"id": "x"}'],
+    "not an object": ["[[1.0, 2.0]]"],
+    "a string": ['"tokens"'],
+    "ragged": [GOOD, '{"tokens": [[1.0, 2.0], [3.0]]}'],
+    "empty token list": ['{"tokens": []}'],
+    "zero width": ['{"tokens": [[], []]}'],
+    "nested too deep": ['{"tokens": [[[1.0], [2.0]]]}'],
+    "tokens a number": ['{"tokens": 5}'],
+    "tokens a string": ['{"tokens": "ab"}'],
+    "tokens an object": ['{"tokens": {"12": 0, "34": 1}}'],
+    "rows strings": ['{"tokens": ["12", "34"]}'],
+    "rows objects": ['{"tokens": [{"a": 1}]}'],
+    "nan": [GOOD, '{"tokens": [[NaN, 1.0]]}'],
+    "inf": [GOOD, GOOD, '{"tokens": [[1.0, -Infinity]]}'],
+    "huge int": ['{"tokens": [[1' + "0" * 400 + ', 1.0]]}'],
+    "null component": ['{"tokens": [[null, 1.0]]}'],
+    "string components": [GOOD, '{"tokens": [["a", 1.0]]}'],
+    "numeric string components": ['{"tokens": [["1.5", 2], [true, 3]]}'],
+    "blank lines": ["", GOOD, "   ", "", GOOD, ""],
+    "mixed dimensions": [GOOD, '{"tokens": [[1.0]]}', '{"tokens": [[2.0], [3.0]]}', GOOD,
+                         '{"tokens": [[1.0, 2.0, 3.0]]}', GOOD],
+    "bad line in a later run": [GOOD, '{"tokens": [[1.0]]}', '{"tokens": [[1.0]], "x": [}'],
+    "ids": ['{"id": "a", "tokens": [[1.0]]}', '{"tokens": [[2.0]]}', '{"id": 7, "tokens": [[3.0]]}'],
+}
+
+
+@pytest.mark.parametrize("name", READ_CASES)
+def test_reader_matches_line_by_line_oracle(tmp_path, name):
+    path = tmp_path / "sets.jsonl"
+    path.write_text("\n".join(READ_CASES[name]) + "\n")
+    try:
+        expected = _oracle_read_token_sets(path)
+    except ValueError as exc:
+        for read in (read_token_sets, read_corpus):
+            with pytest.raises(ValueError) as got:
+                read(path)
+            assert str(got.value) == str(exc)
+        return
+    got = read_token_sets(path)
+    assert [(ts.values.tobytes(), ts.values.shape, ts.id) for ts in got] == \
+        [(ts.values.tobytes(), ts.values.shape, ts.id) for ts in expected]
+    # read_corpus: one run per stretch of consecutive sets of one dimension
+    runs = read_corpus(path)
+    dims = [ts.dim for ts in expected]
+    assert len(runs) == sum(1 for k, d in enumerate(dims) if k == 0 or d != dims[k - 1])
+    flat = [(v.shape[1], size, id_) for v, sizes, ids in runs for size, id_ in zip(sizes, ids)]
+    assert flat == [(ts.dim, ts.size, ts.id) for ts in expected]
+    assert b"".join(v.tobytes() for v, _, _ in runs) == b"".join(ts.values.tobytes() for ts in expected)
+
+
+def test_reader_missing_file(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_corpus(tmp_path / "absent.jsonl")
 
 
 def test_graph_roundtrip(tmp_path):

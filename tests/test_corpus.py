@@ -4,6 +4,7 @@ byte for byte, and check that every per-set library function is the one-set
 case of its corpus function."""
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from tokensort.analysis import (
     uniform_ambiguity_P,
     validate_probability_matrix,
 )
-from tokensort.cli import main
+from tokensort.cli import _json_float, main
 from tokensort.core import SortedSequence, TokenSet, write_token_sets
 from tokensort.latentsort import encode_batch, init_model, latent_sort, latent_sort_corpus, save_model
 from tokensort.sorters import CORPUS_SCHEMES, KEY_SCHEMES, svd_lowrank_sort
@@ -58,6 +59,14 @@ def _ref_svd(values):
     return _ref_by_keys(values, (values - values.mean(axis=0)) @ direction)
 
 
+def _ref_mean_squared(values):
+    keys = -np.mean(values * values, axis=1)
+    for key, token in zip(keys.tolist(), values.tolist()):
+        if abs(key) < sys.float_info.min and any(token):
+            raise ValueError("mean-squared key underflows")  # the program's error too
+    return _ref_by_keys(values, keys)
+
+
 def _ref_lex(values):
     order = np.lexsort(values.T[::-1])
     return {"rows": values[order], "keys": None, "raw_keys": None, "order": order}
@@ -76,7 +85,7 @@ def _ref_sort(scheme, values):
     if scheme == "latent":
         return _ref_latent(MODELS[values.shape[1]], values)
     return {
-        "mean-squared": lambda v: _ref_by_keys(v, -np.mean(v * v, axis=1)),
+        "mean-squared": _ref_mean_squared,
         "lex": _ref_lex,
         "svd": _ref_svd,
     }[scheme](values)
@@ -158,13 +167,26 @@ def _write_inputs(tmp_path, sets):
 
 
 def _run(tmp_path, command, scheme, infile, model):
+    """The command's output bytes, or None when it exits 1 and writes none."""
     out = tmp_path / f"{command}-{scheme}.out"
+    out.unlink(missing_ok=True)
     argv = [command, "--scheme", scheme, "--in", str(infile),
             "--report" if command == "analyze" else "--out", str(out)]
     if scheme == "latent":
         argv += ["--model", str(model)]
-    assert main(argv) == 0
+    code = main(argv)
+    if code == 1 and not out.exists():
+        return None
+    assert code == 0
     return out.read_bytes()
+
+
+def _ref_or_none(ref_bytes, scheme, sets):
+    """The reference output, or None where the reference raises ValueError."""
+    try:
+        return ref_bytes(scheme, sets)
+    except ValueError:
+        return None
 
 
 SCHEMES = ("lex", "mean-squared", "svd", "latent")
@@ -176,17 +198,21 @@ INEXACT_MEAN = [np.tile([7.62201191e-264, -1.0], (5, 1))]
 # the set varies only in subnormal components beside 1.0: scaled down
 # before centring, they would round and reorder the set
 SUBNORMAL = [np.array([[1.0, 5e-324], [1.0, 1e-323], [1.0, 0.0]])]
+# distinct tokens whose mean-squared keys underflow: that scheme fails
+UNDERFLOW = [np.array([[1e-200, 0.0], [2e-200, 0.0], [0.5, 0.5]])]
 
 
 @given(corpora())
 @example(INEXACT_MEAN)
 @example(SUBNORMAL)
+@example(UNDERFLOW)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_commands_match_per_set_reference(tmp_path, sets):
     infile, model = _write_inputs(tmp_path, sets)
     for scheme in SCHEMES:
-        assert _run(tmp_path, "sort", scheme, infile, model) == _ref_sort_bytes(scheme, sets), scheme
-        assert _run(tmp_path, "analyze", scheme, infile, model) == _ref_analyze_bytes(scheme, sets), scheme
+        for command, ref_bytes in (("sort", _ref_sort_bytes), ("analyze", _ref_analyze_bytes)):
+            out = _run(tmp_path, command, scheme, infile, model)
+            assert out == _ref_or_none(ref_bytes, scheme, sets), (command, scheme)
 
 
 def test_commands_match_reference_on_mixed_dimensions(tmp_path):
@@ -205,6 +231,29 @@ def test_empty_file(tmp_path):
     infile.write_text("")
     assert _run(tmp_path, "sort", "svd", infile, None) == b""
     assert _run(tmp_path, "analyze", "svd", infile, None) == b"[]\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_analyze_report_layout_edge_cases(tmp_path):
+    # the report is laid out entry by entry; it must stay the bytes of
+    # json.dumps(report, indent=2, sort_keys=True)
+    big = 1.3e154  # two tokens tie on the mean-squared key; their errors overflow
+    sets = [np.array([[big, 0.0], [-big, 0.0], [0.5, 0.5]]),
+            np.tile([0.25, 0.5], (13, 1)),  # one group of 13 members
+            *[np.array([[float(k), 0.1 + 0.2]]) for k in range(10)],  # single tokens, indices past 9
+            np.array([[5e-324, 1e16], [1e-05, -0.0], [1e-05, -0.0]])]
+    infile = tmp_path / "sets.jsonl"
+    write_token_sets(infile, [TokenSet(x) for x in sets])
+    for scheme in ("mean-squared", "lex", "svd"):
+        report = _run(tmp_path, "analyze", scheme, infile, None)
+        assert report == _ref_analyze_bytes(scheme, sets), scheme
+    assert b'"ambiguity_error": Infinity' in _run(tmp_path, "analyze", "mean-squared", infile, None)
+
+
+@pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.5e308, 0.1 + 0.2,
+                               math.inf, -math.inf, math.nan])
+def test_report_floats_as_json_writes_them(x):
+    assert _json_float(x) == json.dumps(x)
 
 
 def _same(a, b):
@@ -232,12 +281,20 @@ def test_svd_keeps_reference_bytes_beside_extreme_components(values):
 @given(corpora())
 @example(INEXACT_MEAN)
 @example(SUBNORMAL)
+@example(UNDERFLOW)
 @settings(max_examples=60, deadline=None)
 def test_per_set_functions_are_the_one_set_case(sets):
     values = np.concatenate(sets)
     sizes = [len(x) for x in sets]
     model = MODELS[values.shape[1]]
-    cases = [(KEY_SCHEMES[name], CORPUS_SCHEMES[name](values, sizes)) for name in CORPUS_SCHEMES]
+    cases = []
+    for name in CORPUS_SCHEMES:
+        try:
+            cases.append((KEY_SCHEMES[name], CORPUS_SCHEMES[name](values, sizes)))
+        except ValueError:
+            assert name == "mean-squared"
+            with pytest.raises(ValueError):
+                _ref_mean_squared(values)  # the key underflows, in the reference too
     cases.append((lambda ts: latent_sort(model, ts), latent_sort_corpus(model, values, sizes)))
     for one_set, corpus in cases:
         groups = corpus_ambiguity_sets(corpus)

@@ -18,6 +18,7 @@ from tokensort.latentsort import (
     encode_batch,
     init_model,
     latent_sort,
+    latent_sort_corpus,
     learning_rate,
     lgp_terms,
     load_model,
@@ -154,6 +155,37 @@ def test_latent_sort_singleton():
     m = init_model(2, seed=0)
     seq = latent_sort(m, TokenSet(np.array([[0.3, 0.4]])))
     assert seq.keys[0] == 0.0
+
+
+@pytest.mark.parametrize("hidden", [(64, 64), (1,), (1, 6), (6, 1), (3,)])
+def test_stacked_latents_equal_per_set_passes(hidden):
+    # a stacked pass must give each set the bits of its own pass; a hidden
+    # width of 1 sends the decoder-side outer product through the stacked path
+    rng = np.random.default_rng(len(hidden) * 10 + hidden[0])
+    for n in range(1, 5):
+        m = init_model(n, hidden_sizes=hidden, seed=n)
+        for size in range(1, 41):
+            stacked = rng.normal(size=(5, size, n)) * rng.choice([1e-3, 1.0, 1e3], size=(5, 1, 1))
+            h = encode_batch(m, stacked)
+            assert h.shape == (5, size)
+            for b in range(5):
+                assert h[b].tobytes() == encode_batch(m, stacked[b]).tobytes(), (n, size, b)
+        sizes = np.concatenate([np.arange(1, 41), rng.integers(1, 41, size=40)])
+        values = rng.normal(size=(int(sizes.sum()), n))
+        corpus = latent_sort_corpus(m, values, sizes)
+        for k, start in enumerate((np.cumsum(sizes) - sizes).tolist()):
+            one = encode_batch(m, values[start : start + sizes[k]])
+            assert corpus.sequence(k).raw_keys.tobytes() == np.sort(one, kind="stable").tobytes()
+
+
+def test_stacked_forward_keeps_activation_shapes():
+    m = init_model(3, hidden_sizes=(4, 5), seed=0)
+    x = np.random.default_rng(1).normal(size=(2, 6, 3))
+    out, acts = m.encoder.forward(x)
+    assert out.shape == (2, 6, 1)
+    assert [a.shape for a in acts] == [(2, 6, 3), (2, 6, 4), (2, 6, 5), (2, 6, 1)]
+    for b in range(2):
+        assert out[b].tobytes() == m.encoder.forward(x[b])[0].tobytes()
 
 
 def test_learning_rate_schedule_shape():

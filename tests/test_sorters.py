@@ -1,3 +1,4 @@
+import sys
 import warnings
 from collections import deque
 
@@ -69,6 +70,28 @@ def test_mean_squared_key_overflow_rejected():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
             mean_squared_sort(TokenSet(HUGE_TOKENS))
+
+
+# squares of 1e-200 underflow to 0.0: both tokens would tie with each other
+# and with an all-zero token
+TINY_TOKENS = np.array([[1e-200, 0.0], [2e-200, 0.0], [0.5, 0.5]])
+
+
+def test_mean_squared_key_underflow_rejected():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="underflow"):
+            mean_squared_sort(TokenSet(TINY_TOKENS))
+        # an all-zero token keeps its key of -0.0
+        keys = mean_squared_keys(np.array([[0.0, 0.0], [0.5, 0.5]]))
+    assert keys.tolist() == [-0.0, -0.25] and np.signbit(keys[0])
+
+
+def _mean_squared_underflows(vals) -> bool:
+    """Whether a token with a non-zero component has a mean-squared key
+    below the smallest normal float64 in magnitude."""
+    keys = -np.mean(vals * vals, axis=1)
+    return any(abs(k) < sys.float_info.min and any(t) for k, t in zip(keys.tolist(), vals.tolist()))
 
 
 def test_lexicographical():
@@ -259,6 +282,10 @@ def test_traversal_antiparallel_directed_edges():
 def test_key_schemes_emit_permutations(vals):
     x = TokenSet(vals)
     for name, fn in KEY_SCHEMES.items():
+        if name == "mean-squared" and _mean_squared_underflows(vals):
+            with pytest.raises(ValueError, match="underflow"):
+                fn(x)
+            continue
         seq = fn(x)
         assert _is_perm(x.values, seq.rows), name
         if seq.keys is not None:
@@ -272,6 +299,10 @@ def test_key_schemes_emit_permutations(vals):
 def test_monotone_key_transform_invariance(vals, f):
     # strictly increasing transforms of the keys cannot change the order
     x = TokenSet(vals)
+    if _mean_squared_underflows(vals):
+        with pytest.raises(ValueError, match="underflow"):
+            mean_squared_keys(vals)
+        return
     keys = mean_squared_keys(vals)
     # rounding can collapse distinct keys to equal floats; that changes
     # tie-breaking legitimately, so only keep injective cases
