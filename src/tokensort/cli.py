@@ -75,6 +75,13 @@ def _sorted_corpora(sort, path):
     return (sort(values, sizes) for values, sizes, _ in runs)
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with atomic_write(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def cmd_sort(args) -> int:
     sort = _sort_fn(args.scheme, args.model)
     write_sequences(args.out, _sorted_corpora(sort, args.infile))
@@ -86,12 +93,8 @@ def cmd_train_latent(args) -> int:
     cfg = TrainConfig(epochs=args.epochs, lgp_coefficient=args.lgp, seed=args.seed)
     model, history = train(sets, cfg)
     save_model(model, args.out)
-    hist_path = args.out + ".history.csv"
-    with atomic_write(hist_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "recon", "lgp", "lr"])
-        for row in history:
-            w.writerow([row["epoch"], repr(row["recon"]), repr(row["lgp"]), repr(row["lr"])])
+    _write_csv(args.out + ".history.csv", ["epoch", "recon", "lgp", "lr"],
+               ([r["epoch"], repr(r["recon"]), repr(r["lgp"]), repr(r["lr"])] for r in history))
     return 0
 
 
@@ -121,11 +124,8 @@ def cmd_ambiguity_grid(args) -> int:
         keys = GRID_KEYS[args.scheme](pts)
     lo, hi = float(keys.min()), float(keys.max())
     norm = (keys - lo) / (hi - lo) if hi > lo else np.zeros_like(keys)
-    with atomic_write(args.out, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x1", "x2", "key"])
-        for p, k in zip(pts, norm):
-            w.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(k))])
+    _write_csv(args.out, ["x1", "x2", "key"],
+               ([repr(float(p[0])), repr(float(p[1])), repr(float(k))] for p, k in zip(pts, norm)))
     return 0
 
 
@@ -186,16 +186,10 @@ def cmd_metrics(args) -> int:
     gt = read_token_sets(args.gt)
     if len(pred) != len(gt):
         raise UsageError(f"pred has {len(pred)} sets, gt has {len(gt)}")
-    with atomic_write(args.out, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "emd", "ehd", "precision", "recall", "f1", "size_diff"])
-        for i, (a, b) in enumerate(zip(pred, gt)):
-            prf = set_prf(a, b, match_tol=args.match_tol)
-            w.writerow([
-                i, repr(emd(a, b)), repr(ehd(a, b)),
-                repr(prf["precision"]), repr(prf["recall"]), repr(prf["f1"]),
-                size_diff(a, b),
-            ])
+    prfs = (set_prf(a, b, match_tol=args.match_tol) for a, b in zip(pred, gt))
+    _write_csv(args.out, ["index", "emd", "ehd", "precision", "recall", "f1", "size_diff"],
+               ([i, repr(emd(a, b)), repr(ehd(a, b)), repr(prf["precision"]), repr(prf["recall"]),
+                 repr(prf["f1"]), size_diff(a, b)] for i, (a, b, prf) in enumerate(zip(pred, gt, prfs))))
     return 0
 
 
@@ -207,20 +201,18 @@ def cmd_tsp_bench(args) -> int:
     if args.train_sets is not None:
         cfg = replace(cfg, n_train_sets=args.train_sets)
     result = run_tsp_benchmark(cfg)
-    with atomic_write(args.out, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "runs", "lgp", "mean", "std"])
-        w.writerow([args.n, args.runs, args.lgp,
-                    repr(result["mean_percentile"]), repr(result["std_percentile"])])
+    _write_csv(args.out, ["n", "runs", "lgp", "mean", "std"],
+               [[args.n, args.runs, args.lgp,
+                 repr(result["mean_percentile"]), repr(result["std_percentile"])]])
     return 0
 
 
 def cmd_gen_planar(args) -> int:
-    graphs = []
-    for k in range(args.count):
-        cfg = PlanarGenConfig(seed=args.seed * 1000 + k)
-        graphs.append(generate_planar_graph(cfg))
-    write_graphs(args.out, graphs)
+    for flag, value in (("--count", args.count), ("--seed", args.seed)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
+    write_graphs(args.out, (generate_planar_graph(PlanarGenConfig(seed=args.seed * 1000 + k))
+                            for k in range(args.count)))
     return 0
 
 

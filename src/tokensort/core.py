@@ -236,7 +236,10 @@ def atomic_write(path, newline: str | None = None):
     """
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, "x", newline=newline)
+    try:
+        fh = open(tmp, "x", newline=newline)
+    except FileNotFoundError as exc:  # name the path asked for, not the temporary
+        raise FileNotFoundError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             yield fh
@@ -247,32 +250,39 @@ def atomic_write(path, newline: str | None = None):
         raise
 
 
-def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
+def _write_jsonl(path, objs: Iterable[dict]) -> None:
+    """One line per object, as json.dumps writes it."""
     with atomic_write(path) as fh:
-        for ts in sets:
-            obj: dict = {}
-            if ts.id is not None:
-                obj["id"] = ts.id
-            obj["tokens"] = ts.values.tolist()
+        for obj in objs:
             fh.write(json.dumps(obj) + "\n")
 
 
-def _raise_first_bad_line(path) -> None:
-    """Read the file line by line (decode, width check, TokenSet) and raise
-    ValueError naming the first line that fails."""
+def _parse_lines(path, build) -> list:
+    """build(obj) for the decoded JSON of each non-blank line of the file,
+    in order; ValueError names the first line that fails and why."""
+    out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                tokens = obj["tokens"]
-                widths = {len(t) for t in tokens}
-                if len(widths) > 1:
-                    raise ValueError(f"ragged token dimensions {sorted(widths)}")
-                TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+                out.append(build(json.loads(line)))
             except Exception as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    return out
+
+
+def _token_set(obj) -> TokenSet:
+    tokens = obj["tokens"]
+    widths = {len(t) for t in tokens}
+    if len(widths) > 1:
+        raise ValueError(f"ragged token dimensions {sorted(widths)}")
+    return TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+
+
+def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
+    _write_jsonl(path, (({} if ts.id is None else {"id": ts.id}) | {"tokens": ts.values.tolist()}
+                        for ts in sets))
 
 
 def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
@@ -283,8 +293,8 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
 
     Each line is decoded and width-checked on its own, and each run becomes
     one array with one finiteness check. When a line or a run fails, the file
-    is read again line by line, which raises ValueError naming the first
-    failing line and why it fails.
+    is parsed again line by line (_parse_lines), which raises ValueError
+    naming the first failing line and why it fails.
     """
     runs: list[tuple[int, list, list[int], list]] = []
     try:
@@ -312,7 +322,7 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
             out.append((values, sizes, ids))
         return out
     except Exception:
-        _raise_first_bad_line(path)
+        _parse_lines(path, _token_set)
         raise
 
 
@@ -328,33 +338,20 @@ def read_token_sets(path) -> list[TokenSet]:
 
 
 def write_graphs(path, graphs: Iterable[Graph]) -> None:
-    with atomic_write(path) as fh:
-        for g in graphs:
-            obj = {
-                "nodes": g.node_features.tolist(),
-                "edges": [[u, v] for u, v in g.edges],
-                "directed": g.directed,
-            }
-            fh.write(json.dumps(obj) + "\n")
+    _write_jsonl(path, ({"nodes": g.node_features.tolist(), "edges": [[u, v] for u, v in g.edges],
+                         "directed": g.directed} for g in graphs))
+
+
+def _graph(obj) -> Graph:
+    return Graph(
+        np.asarray(obj["nodes"], dtype=np.float64),
+        tuple((int(u), int(v)) for u, v in obj["edges"]),
+        directed=bool(obj.get("directed", False)),
+    )
 
 
 def read_graphs(path) -> list[Graph]:
-    out: list[Graph] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                g = Graph(
-                    np.asarray(obj["nodes"], dtype=np.float64),
-                    tuple((int(u), int(v)) for u, v in obj["edges"]),
-                    directed=bool(obj.get("directed", False)),
-                )
-            except Exception as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            out.append(g)
-    return out
+    return _parse_lines(path, _graph)
 
 
 def _item_texts(a: np.ndarray | None) -> list[str] | None:

@@ -353,8 +353,8 @@ class TrainConfig:
     hidden_sizes: tuple = (64, 64)
 
     def validate(self) -> None:
-        if self.lgp_coefficient < 0:
-            raise ValueError("require lgp_coefficient >= 0")
+        if not 0 <= self.lgp_coefficient < math.inf:  # also rejects NaN
+            raise ValueError(f"require a finite lgp_coefficient >= 0, got {self.lgp_coefficient}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
@@ -483,6 +483,8 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
+    if not data:
+        raise ValueError("no token sets to train on")
     dims = {ts.dim for ts in data}
     if len(dims) != 1:
         raise ValueError(f"all token sets must share one dimension, got {sorted(dims)}")

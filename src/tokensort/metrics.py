@@ -148,8 +148,8 @@ def set_prf(x: TokenSet, y: TokenSet, match_tol: float = 0.0) -> dict[str, float
     Precision = TP/|x|, recall = TP/|y|, F1 harmonic mean (0 when TP = 0).
     """
     _check_sets(x, y)
-    if match_tol < 0:
-        raise ValueError("match_tol must be >= 0")
+    if not match_tol >= 0:  # also rejects NaN
+        raise ValueError(f"match_tol must be >= 0, got {match_tol}")
     d = np.sqrt(_pairwise_sq(x.values, y.values))
     candidates = sorted(
         ((d[i, j], i, j) for i in range(x.size) for j in range(y.size) if d[i, j] <= match_tol),

@@ -232,6 +232,31 @@ def test_tsp_bench_csv(tmp_path):
     assert 0.0 <= float(rows[1][3]) <= 1.0
 
 
+@pytest.mark.parametrize("argv, code, fragment", [
+    (["metrics", "--pred", "{sets}", "--gt", "{sets}", "--match-tol", "nan", "--out", "{out}"],
+     1, "match_tol must be >= 0, got nan"),
+    (["train-latent", "--in", "{sets}", "--lgp", "nan", "--out", "{out}"], 1, "lgp_coefficient"),
+    (["train-latent", "--in", "{sets}", "--lgp", "inf", "--out", "{out}"], 1, "lgp_coefficient"),
+    (["train-latent", "--in", "{empty}", "--out", "{out}"], 1, "no token sets"),
+    (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "0",
+      "--out", "{out}"], 1, "no token sets"),
+    (["gen-planar", "--count", "-2", "--out", "{out}"], 2, "--count must be >= 0, got -2"),
+    (["gen-planar", "--count", "1", "--seed", "-1", "--out", "{out}"], 2, "--seed must be >= 0, got -1"),
+    # the path given, not the temporary file beside it
+    (["sort", "--scheme", "lex", "--in", "{sets}", "--out", "{tmp}/missing/o.jsonl"],
+     1, "missing/o.jsonl'"),
+], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
+        "negative-seed", "missing-directory"])
+def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    args = [a.format(sets=sets_file, empty=empty, out=tmp_path / "out", tmp=tmp_path) for a in argv]
+    assert main(args) == code
+    assert fragment in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("argv", [
     ["sort", "--scheme", "lex", "--in", "{sets}", "--out", "{out}"],
     ["sort", "--scheme", "svd", "--in", "{sets}", "--out", "{out}"],

@@ -301,6 +301,21 @@ def test_graph_roundtrip(tmp_path):
     assert back.edges == g.edges
 
 
+def test_read_graphs_names_first_bad_line(tmp_path):
+    p = tmp_path / "g.jsonl"
+    good = json.dumps({"nodes": [[0.0, 0.0], [1.0, 1.0]], "edges": [[0, 1]], "directed": False})
+    # a blank line still counts; the first failing line is reported, not the last
+    p.write_text(good + "\n\n" + json.dumps({"nodes": [[0.0, 0.0]], "edges": [[0, 5]]})
+                 + "\nnot json\n")
+    with pytest.raises(ValueError, match=r"g\.jsonl: line 3: edge \(0, 5\) references a node outside 0\.\.0$"):
+        read_graphs(p)
+    p.write_text(good + "\n" + json.dumps({"edges": []}) + "\n")
+    with pytest.raises(ValueError, match="line 2: 'nodes'"):
+        read_graphs(p)
+    with pytest.raises(FileNotFoundError):
+        read_graphs(tmp_path / "absent.jsonl")
+
+
 @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_roundtrip_exact_fuzz(tmp_path_factory, m, n, seed):

@@ -1,7 +1,10 @@
 """The comparison and report logic of tools/identity_check.py, on fabricated
 digests; no git and no command runs here."""
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_check.py"
 
@@ -15,11 +18,14 @@ def _load_tool():
 
 def test_compare_verdicts():
     tool = _load_tool()
-    base = {"sort lex": "aa", "sort svd": "bb", "analyze lex": "cc", "gen-planar": "dd"}
-    head = {"sort lex": "aa", "sort svd": "bX", "analyze lex": "exit 1", "train-latent": "ee"}
+    base = {"sort lex": "aa", "sort svd": "bb", "analyze lex": "cc", "gen-planar": "dd",
+            "metrics": "exit 1"}
+    head = {"sort lex": "aa", "sort svd": "bX", "analyze lex": "exit 1", "train-latent": "ee",
+            "metrics": "exit 1"}
     assert tool.compare(base, head) == [
         ("analyze lex", "differs"),  # a failed command is a digest of its own
         ("gen-planar", "missing in head"),
+        ("metrics", "failed in both"),  # and never a match
         ("sort lex", "same"),
         ("sort svd", "differs"),
         ("train-latent", "missing in base"),
@@ -43,10 +49,31 @@ def test_report_passes_only_when_every_output_matches():
 
 def test_commands_cover_every_scheme_and_output(tmp_path):
     tool = _load_tool()
-    cmds = tool.commands(tmp_path / "corpus.jsonl", tmp_path, seed=3)
-    assert list(cmds)[0] == "train-latent"  # the latent sorts need its model
+    cmds = tool.commands(tmp_path / "corpus.jsonl", tmp_path / "snapped.jsonl", tmp_path, seed=3)
+    assert list(cmds)[0] == "train-latent"  # the latent sorts and grid need its model
     for scheme in ("lex", "mean-squared", "svd", "latent"):
         assert cmds[f"sort {scheme}"][:3] == ["sort", "--scheme", scheme]
         assert cmds[f"analyze {scheme}"][:3] == ["analyze", "--scheme", scheme]
     assert "--model" in cmds["sort latent"] and "--model" not in cmds["sort lex"]
     assert cmds["gen-planar"][cmds["gen-planar"].index("--seed") + 1] == "3"
+    assert cmds["metrics"][:5] == ["metrics", "--pred", str(tmp_path / "corpus.jsonl"),
+                                   "--gt", str(tmp_path / "snapped.jsonl")]
+    assert cmds["ambiguity-grid scheme"][:2] == ["ambiguity-grid", "--scheme"]
+    assert cmds["ambiguity-grid model"][:3] == ["ambiguity-grid", "--model", str(tmp_path / "model.json")]
+    assert cmds["tsp-bench"][cmds["tsp-bench"].index("--seed") + 1] == "3"
+    # every command writes one distinct output
+    outs = [argv[argv.index("--report" if name.startswith("analyze") else "--out") + 1]
+            for name, argv in cmds.items()]
+    assert len(set(outs)) == len(outs)
+
+
+def test_snapped_corpus_is_the_corpus_on_the_grid(tmp_path):
+    tool = _load_tool()
+    tool.write_corpus(tmp_path / "c.jsonl", 7)
+    tool.write_corpus(tmp_path / "s.jsonl", 7, snap_all=True)
+    corpus = [np.array(json.loads(line)["tokens"]) for line in open(tmp_path / "c.jsonl")]
+    snapped = [np.array(json.loads(line)["tokens"]) for line in open(tmp_path / "s.jsonl")]
+    assert [c.shape for c in corpus] == [s.shape for s in snapped]
+    for k, (c, s) in enumerate(zip(corpus, snapped)):
+        assert np.array_equal(s, np.round(c * tool.GRID_STEPS) / tool.GRID_STEPS)
+        assert np.array_equal(c, s) == bool(k % 2)  # odd sets were snapped already

@@ -8,7 +8,9 @@ tree. For each seed the tool writes a corpus in the benchmark's sort-analyze
 style (1000 sets of 4-12 points in the unit square, every second set snapped
 to a grid of eighths) and runs, on each side, `tokensort train-latent` on it
 (10 epochs, lgp 0.01), `sort` and `analyze` with every scheme (latent with the
-side's own model) and `gen-planar --count 20`. It compares the sha256 of every
+side's own model), `gen-planar --count 20`, `metrics` of the corpus against
+its copy with every set snapped to the grid, `ambiguity-grid` by a scheme and
+by the side's model, and a small `tsp-bench`. It compares the sha256 of every
 output, prints one line per output and exits 1 unless every digest matches.
 """
 from __future__ import annotations
@@ -34,6 +36,9 @@ GRID_STEPS = 8
 EPOCHS = 10
 LGP = 0.01
 PLANAR_GRAPHS = 20
+MATCH_TOL = 0.05  # below the largest snapping shift, so some tokens match and some do not
+GRID_RES = 64
+TSP_BENCH = ["--n", "5", "--runs", "2", "--epochs", "2", "--train-sets", "50"]
 
 
 def _bench_pairs():
@@ -43,20 +48,22 @@ def _bench_pairs():
     return module
 
 
-def write_corpus(path: Path, seed: int) -> None:
+def write_corpus(path: Path, seed: int, snap_all: bool = False) -> None:
     """The sort-analyze corpus style: every second set snapped to the grid,
-    so that keys tie and ambiguity groups form."""
+    so that keys tie and ambiguity groups form; with `snap_all`, the same
+    sets with every one snapped."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
     with open(path, "w") as fh:
         for k in range(CORPUS_SETS):
             pts = rng.uniform(0.0, 1.0, size=(int(rng.integers(SET_SIZES[0], SET_SIZES[1] + 1)), 2))
-            if k % 2:
+            if snap_all or k % 2:
                 pts = np.round(pts * GRID_STEPS) / GRID_STEPS
             fh.write(json.dumps({"tokens": pts.tolist()}) + "\n")
 
 
-def commands(corpus: Path, out: Path, seed: int) -> dict[str, list[str]]:
-    """Output name -> the tokensort arguments that write it, in run order."""
+def commands(corpus: Path, snapped: Path, out: Path, seed: int) -> dict[str, list[str]]:
+    """Output name -> the tokensort arguments that write it, in run order;
+    `snapped` is the corpus with every set snapped to the grid."""
     model = out / "model.json"
     cmds = {"train-latent": ["train-latent", "--in", str(corpus), "--epochs", str(EPOCHS),
                              "--lgp", str(LGP), "--seed", str(seed), "--out", str(model)]}
@@ -68,6 +75,13 @@ def commands(corpus: Path, out: Path, seed: int) -> dict[str, list[str]]:
                                      "--report", str(out / f"analyze-{scheme}.json"), *extra]
     cmds["gen-planar"] = ["gen-planar", "--count", str(PLANAR_GRAPHS), "--seed", str(seed),
                           "--out", str(out / "planar.jsonl")]
+    cmds["metrics"] = ["metrics", "--pred", str(corpus), "--gt", str(snapped),
+                       "--match-tol", str(MATCH_TOL), "--out", str(out / "metrics.csv")]
+    for source, value in (("scheme", "mean-squared"), ("model", str(model))):
+        cmds[f"ambiguity-grid {source}"] = ["ambiguity-grid", f"--{source}", value, "--res",
+                                            str(GRID_RES), "--out", str(out / f"grid-{source}.csv")]
+    cmds["tsp-bench"] = ["tsp-bench", *TSP_BENCH, "--seed", str(seed),
+                         "--out", str(out / "tsp-bench.csv")]
     return cmds
 
 
@@ -75,13 +89,13 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_side(tree: Path, corpus: Path, out: Path, seed: int) -> dict[str, str]:
+def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int) -> dict[str, str]:
     """Run every command with the tokensort of `tree`; output name -> sha256,
     or "exit <code>" for a command that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
-    for name, argv in commands(corpus, out, seed).items():
+    for name, argv in commands(corpus, snapped, out, seed).items():
         proc = subprocess.run([sys.executable, "-m", "tokensort.cli", *argv], cwd=out, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -96,15 +110,19 @@ def run_side(tree: Path, corpus: Path, out: Path, seed: int) -> dict[str, str]:
 
 def compare(base: dict[str, str], head: dict[str, str]) -> list[tuple[str, str]]:
     """(output, verdict) for every output either side wrote, sorted by name:
-    "same", "differs", or "missing in base"/"missing in head"."""
+    "same", "differs", "failed in both" (a command that wrote nothing proves
+    nothing, even with the same exit code), or "missing in base"/"missing in
+    head"."""
     rows = []
     for name in sorted(base.keys() | head.keys()):
         if name not in base:
             rows.append((name, "missing in base"))
         elif name not in head:
             rows.append((name, "missing in head"))
+        elif base[name] != head[name]:
+            rows.append((name, "differs"))
         else:
-            rows.append((name, "same" if base[name] == head[name] else "differs"))
+            rows.append((name, "failed in both" if base[name].startswith("exit ") else "same"))
     return rows
 
 
@@ -140,12 +158,14 @@ def main(argv=None) -> int:
         results = {}
         for seed in args.seeds:
             corpus = workdir / f"corpus-{seed}.jsonl"
+            snapped = workdir / f"snapped-{seed}.jsonl"
             write_corpus(corpus, seed)
+            write_corpus(snapped, seed, snap_all=True)
             digests = {}
             for side, tree in trees.items():
                 out = workdir / f"out-{side}-{seed}"
                 out.mkdir()
-                digests[side] = run_side(tree, corpus, out, seed)
+                digests[side] = run_side(tree, corpus, snapped, out, seed)
             results[seed] = compare(digests["base"], digests["head"])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
