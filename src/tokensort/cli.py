@@ -105,11 +105,16 @@ GRID_KEYS = {
 }
 
 
+# the model pass holds about 1.1 KB per grid point, so the largest grid allowed
+# (1024 x 1024 points) takes about 1.1 GB; far larger ones ended in a MemoryError
+MAX_GRID_RES = 1024
+
+
 def cmd_ambiguity_grid(args) -> int:
     if bool(args.model) == bool(args.scheme):
         raise UsageError("give exactly one of --model or --scheme")
-    if args.res < 1:
-        raise UsageError("--res must be at least 1")
+    if not 1 <= args.res <= MAX_GRID_RES:
+        raise UsageError(f"--res must be between 1 and {MAX_GRID_RES}, got {args.res}")
     axis = np.linspace(0.0, 1.0, args.res)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])

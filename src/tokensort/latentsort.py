@@ -575,9 +575,9 @@ def save_model(m: LatentSortModel, path) -> None:
         "decoder": _mlp_to_obj(m.decoder),
         "meta": m.meta,
     }
+    text = json.dumps(obj) + "\n"  # json.dump skips the C encoder; the text is the same
     with atomic_write(path) as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> LatentSortModel:

@@ -1,8 +1,13 @@
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tokensort.cli import main
 from tokensort.core import TokenSet, write_token_sets
@@ -245,8 +250,11 @@ def test_tsp_bench_csv(tmp_path):
     # the path given, not the temporary file beside it
     (["sort", "--scheme", "lex", "--in", "{sets}", "--out", "{tmp}/missing/o.jsonl"],
      1, "missing/o.jsonl'"),
+    # about 1e16 grid points: rejected before anything is allocated
+    (["ambiguity-grid", "--scheme", "mean-squared", "--res", "100000000", "--out", "{out}"],
+     2, "--res must be between 1 and 1024, got 100000000"),
 ], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
-        "negative-seed", "missing-directory"])
+        "negative-seed", "missing-directory", "res-huge"])
 def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -255,6 +263,73 @@ def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_fil
     assert main(args) == code
     assert fragment in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+# token components that stress parsing and arithmetic: ties, magnitudes at
+# the ends of the float range, and the NaN/Infinity literals json writes
+DEGENERATE_COMPONENTS = st.sampled_from(
+    [0.0, 1.0, -1.0, 1e300, -1e300, 1e-300, -1e-300, math.nan, math.inf, -math.inf]) | st.floats(0, 1)
+
+
+@st.composite
+def degenerate_corpora(draw) -> str:
+    """The text of a token-set file with blank lines, one-token sets,
+    duplicate tokens, mixed dimensions, extreme and non-finite components,
+    "id" fields and perhaps a truncated last line."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)) == 3:
+            lines.append(draw(st.sampled_from(["", "   "])))
+            continue
+        dim = draw(st.sampled_from([2, 1, 3]))
+        rows = draw(st.lists(st.lists(DEGENERATE_COMPONENTS, min_size=dim, max_size=dim),
+                             min_size=1, max_size=5))
+        rows += rows[: draw(st.integers(0, 2))]  # duplicate tokens
+        obj = {"tokens": rows}
+        if draw(st.booleans()):
+            obj["id"] = draw(st.sampled_from(["a", "", 'q"u', 7]))
+        lines.append(json.dumps(obj))
+    if lines and lines[-1].strip() and draw(st.booleans()):  # cut short, as by a writer that died
+        lines[-1] = lines[-1][: draw(st.integers(0, len(lines[-1]) - 1))]
+        return "\n".join(lines)
+    return "".join(line + "\n" for line in lines)
+
+
+def _degenerate_commands(corpus: Path, model: Path, out: Path) -> list[list[str]]:
+    cmds = [["sort", "--scheme", scheme, "--in", str(corpus), "--out", str(out)]
+            for scheme in ("lex", "mean-squared", "svd")]
+    cmds.append(["sort", "--scheme", "latent", "--model", str(model), "--in", str(corpus),
+                 "--out", str(out)])
+    cmds.append(["analyze", "--scheme", "mean-squared", "--in", str(corpus), "--report", str(out)])
+    cmds.append(["train-latent", "--in", str(corpus), "--epochs", "1", "--out", str(out)])
+    cmds.append(["metrics", "--pred", str(corpus), "--gt", str(corpus), "--out", str(out)])
+    return cmds
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(degenerate_corpora())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_degenerate_corpora_exit_cleanly_without_partial_output(text):
+    # every command ends with a defined exit code; one that fails leaves no
+    # output, and none leaves a temporary behind
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = tmp / "corpus.jsonl"
+        corpus.write_text(text)
+        model = tmp / "model.json"
+        save_model(init_model(2, seed=0), model)
+        out = tmp / "out"
+        for argv in _degenerate_commands(corpus, model, out):
+            code = main(argv)
+            assert code in (0, 1, 2), argv
+            written = sorted(p.name for p in tmp.iterdir())
+            assert not [name for name in written if name.endswith(".tmp")], argv
+            if code == 0:
+                assert out.exists(), argv
+            else:
+                assert "out" not in written and "out.history.csv" not in written, argv
+            for name in ("out", "out.history.csv"):
+                (tmp / name).unlink(missing_ok=True)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,18 @@
 """The comparison and report logic of tools/identity_check.py, on fabricated
-digests; no git and no command runs here."""
+digests, and its smd script on a few graphs; no git and no tokensort command
+runs here."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+
+from tokensort.core import write_graphs
+from tokensort.datagen import PlanarGenConfig, generate_planar_graph
+from tokensort.metrics import smd
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_check.py"
 
@@ -77,3 +85,16 @@ def test_snapped_corpus_is_the_corpus_on_the_grid(tmp_path):
     for k, (c, s) in enumerate(zip(corpus, snapped)):
         assert np.array_equal(s, np.round(c * tool.GRID_STEPS) / tool.GRID_STEPS)
         assert np.array_equal(c, s) == bool(k % 2)  # odd sets were snapped already
+
+
+def test_smd_script_scores_consecutive_pairs_then_self_pairs(tmp_path):
+    tool = _load_tool()
+    graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in (4, 5, 6)]
+    path = tmp_path / "graphs.jsonl"
+    write_graphs(str(path), graphs)
+    src = str(Path(tool.ROOT) / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", tool.SMD_SCRIPT, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    pairs = [(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)]
+    assert proc.stdout.splitlines() == [smd(graphs[i], graphs[j]).hex() for i, j in pairs]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -242,12 +243,21 @@ def test_model_roundtrip(tmp_path):
     assert back.token_dim == 3
 
 
+def test_model_file_is_one_json_dumps_line(tmp_path):
+    m = init_model(3, hidden_sizes=(7, 5), seed=2)
+    m.meta["note"] = "x"
+    p = tmp_path / "m.json"
+    save_model(m, p)
+    text = p.read_text()
+    obj = json.loads(text)
+    assert list(obj) == ["version", "token_dim", "encoder", "decoder", "meta"]
+    assert text == json.dumps(obj) + "\n"
+
+
 def test_model_version_rejected(tmp_path):
     m = init_model(2, seed=0)
     p = tmp_path / "m.json"
     save_model(m, p)
-    import json
-
     obj = json.loads(p.read_text())
     obj["version"] = 99
     p.write_text(json.dumps(obj))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,10 @@ from hypothesis import strategies as st
 from tokensort.core import Graph, SortedSequence, TokenSet
 from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 from tokensort.metrics import (
+    SINKHORN_MAX_ITERS,
+    SINKHORN_TOL,
     SinkhornConfig,
+    SinkhornError,
     ehd,
     emd,
     sample_edge_points,
@@ -105,10 +110,66 @@ def test_smd_symmetric():
 
 
 def test_smd_separated_graphs_positive():
-    feats = np.array([[0.0, 0.0], [0.0, 1.0]])
-    a = Graph(feats, ((0, 1),))
-    b = Graph(feats + np.array([5.0, 0.0]), ((0, 1),))
+    a, b = _separated_graphs()
     assert smd(a, b) > 1.0
+
+
+def _reference_transport_cost(a, b, eps):
+    """The log-domain Sinkhorn loop as first written: both marginals checked
+    on a plan built after every iteration."""
+    diff = a[:, None, :] - b[None, :, :]
+    cost = np.sum(diff * diff, axis=2)
+    n, m = cost.shape
+    f, g = np.zeros(n), np.zeros(m)
+
+    def lse_rows(mat):
+        mx = mat.max(axis=1, keepdims=True)
+        return (mx + np.log(np.sum(np.exp(mat - mx), axis=1, keepdims=True)))[:, 0]
+
+    for _ in range(SINKHORN_MAX_ITERS):
+        mat = (f[:, None] + g[None, :] - cost) / eps
+        f = f + eps * (-math.log(n) - lse_rows(mat))
+        mat = (f[:, None] + g[None, :] - cost) / eps
+        g = g + eps * (-math.log(m) - lse_rows(mat.T))
+        plan = np.exp((f[:, None] + g[None, :] - cost) / eps)
+        violation = max(float(np.abs(plan.sum(axis=1) - 1.0 / n).sum()),
+                        float(np.abs(plan.sum(axis=0) - 1.0 / m).sum()))
+        if violation < SINKHORN_TOL:
+            return float(np.sum(plan * cost))
+    raise AssertionError("reference did not converge")
+
+
+def _reference_smd(a, b):
+    cfg = SinkhornConfig()
+    pa, pb = sample_edge_points(a, cfg.samples), sample_edge_points(b, cfg.samples)
+    if pb.tobytes() < pa.tobytes():
+        pa, pb = pb, pa
+    cost = [_reference_transport_cost(p, q, cfg.epsilon) for p, q in ((pa, pb), (pa, pa), (pb, pb))]
+    return cost[0] - 0.5 * (cost[1] + cost[2])
+
+
+def _separated_graphs():
+    feats = np.array([[0.0, 0.0], [0.0, 1.0]])
+    return Graph(feats, ((0, 1),)), Graph(feats + np.array([5.0, 0.0]), ((0, 1),))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "separated"])
+def test_smd_matches_reference_loop_bit_for_bit(seed):
+    if seed == "separated":
+        a, b = _separated_graphs()
+    else:
+        rng = np.random.default_rng(seed)
+        a, b = (generate_planar_graph(PlanarGenConfig(seed=int(s))) for s in rng.integers(0, 10**6, 2))
+    # a self-pair's cost matrix has a zero diagonal
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert smd(x, y).hex() == _reference_smd(x, y).hex()
+
+
+def test_smd_raises_when_sinkhorn_cannot_converge():
+    a, b = _graphs()
+    with pytest.raises(SinkhornError, match="did not converge") as info:
+        smd(a, b, SinkhornConfig(epsilon=1e-5))
+    assert info.value.violation >= SINKHORN_TOL
 
 
 def test_smd_config_validation():

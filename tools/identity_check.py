@@ -10,8 +10,11 @@ to a grid of eighths) and runs, on each side, `tokensort train-latent` on it
 (10 epochs, lgp 0.01), `sort` and `analyze` with every scheme (latent with the
 side's own model), `gen-planar --count 20`, `metrics` of the corpus against
 its copy with every set snapped to the grid, `ambiguity-grid` by a scheme and
-by the side's model, and a small `tsp-bench`. It compares the sha256 of every
-output, prints one line per output and exits 1 unless every digest matches.
+by the side's model, and a small `tsp-bench`. It also runs `metrics.smd` of
+the side's tree on the base side's `gen-planar` graphs: each consecutive pair
+and each graph with itself, every value written with `float.hex`. It compares
+the sha256 of every output, prints one line per output and exits 1 unless
+every digest matches.
 """
 from __future__ import annotations
 
@@ -39,6 +42,16 @@ PLANAR_GRAPHS = 20
 MATCH_TOL = 0.05  # below the largest snapping shift, so some tokens match and some do not
 GRID_RES = 64
 TSP_BENCH = ["--n", "5", "--runs", "2", "--epochs", "2", "--train-sets", "50"]
+# argv[1]: a graph file; prints the smd of each consecutive pair of its graphs,
+# then of each graph with itself, one float.hex a line
+SMD_SCRIPT = """
+import sys
+from tokensort.core import read_graphs
+from tokensort.metrics import smd
+graphs = read_graphs(sys.argv[1])
+pairs = list(zip(graphs, graphs[1:])) + [(g, g) for g in graphs]
+print("\\n".join(smd(a, b).hex() for a, b in pairs))
+"""
 
 
 def _bench_pairs():
@@ -89,9 +102,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int) -> dict[str, str]:
-    """Run every command with the tokensort of `tree`; output name -> sha256,
-    or "exit <code>" for a command that failed."""
+def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
+             graphs: Path) -> dict[str, str]:
+    """Run every command, then SMD_SCRIPT on `graphs`, with the tokensort of
+    `tree`; output name -> sha256, or "exit <code>" for one that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
@@ -105,6 +119,10 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int) -> d
         digests[name] = _sha256(target)
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
+    proc = subprocess.run([sys.executable, "-c", SMD_SCRIPT, str(graphs)], cwd=out, env=env,
+                          capture_output=True)
+    digests["smd"] = (hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0
+                      else f"exit {proc.returncode}")
     return digests
 
 
@@ -162,10 +180,11 @@ def main(argv=None) -> int:
             write_corpus(corpus, seed)
             write_corpus(snapped, seed, snap_all=True)
             digests = {}
-            for side, tree in trees.items():
+            graphs = workdir / f"out-base-{seed}" / "planar.jsonl"  # both sides score the same graphs
+            for side, tree in trees.items():  # base first: it writes `graphs`
                 out = workdir / f"out-{side}-{seed}"
                 out.mkdir()
-                digests[side] = run_side(tree, corpus, snapped, out, seed)
+                digests[side] = run_side(tree, corpus, snapped, out, seed, graphs)
             results[seed] = compare(digests["base"], digests["head"])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
