@@ -190,12 +190,14 @@ def rank_probability_matrix(profile: LatentGaussianProfile) -> np.ndarray:
     """
     m = profile.size
     mu, var = profile.means, profile.variances
-    # c[i][j] = P(h_i > h_j); the zero diagonal leaves rank i unchanged at j = i
-    c = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                c[i, j] = swap_probability(mu[j], var[j], mu[i], var[i])
+    # c[i][j] = P(h_i > h_j) = swap_probability(mu[j], var[j], mu[i], var[i]),
+    # in its operation order; the zero diagonal leaves rank i unchanged at j = i
+    s2 = var[None, :] + var[:, None]
+    c = np.where(mu[None, :] < mu[:, None], 1.0, np.where(mu[None, :] > mu[:, None], 0.0, 0.5))
+    spread = s2 > 0.0
+    z = -(mu[None, :] - mu[:, None])[spread] / np.sqrt(s2[spread])
+    c[spread] = [_phi(x) for x in z.tolist()]
+    np.fill_diagonal(c, 0.0)
     p = np.zeros((m, m))
     p[0] = 1.0
     for j in range(m):

@@ -30,6 +30,7 @@ from .core import (
     atomic_write,
     read_corpus,
     read_token_sets,
+    restore_on_error,
     write_graphs,
     write_sequences,
 )
@@ -92,9 +93,10 @@ def cmd_train_latent(args) -> int:
     sets = read_token_sets(args.infile)
     cfg = TrainConfig(epochs=args.epochs, lgp_coefficient=args.lgp, seed=args.seed)
     model, history = train(sets, cfg)
-    save_model(model, args.out)
-    _write_csv(args.out + ".history.csv", ["epoch", "recon", "lgp", "lr"],
-               ([r["epoch"], repr(r["recon"]), repr(r["lgp"]), repr(r["lr"])] for r in history))
+    with restore_on_error(args.out):  # so both files are new, or neither
+        save_model(model, args.out)
+        _write_csv(args.out + ".history.csv", ["epoch", "recon", "lgp", "lr"],
+                   ([r["epoch"], repr(r["recon"]), repr(r["lgp"]), repr(r["lr"])] for r in history))
     return 0
 
 
@@ -124,8 +126,6 @@ def cmd_ambiguity_grid(args) -> int:
             raise UsageError("ambiguity-grid requires a 2-D token model")
         keys = encode_batch(model, pts)
     else:
-        if args.scheme not in GRID_KEYS:
-            raise UsageError(f"grid scheme must be one of {sorted(GRID_KEYS)}")
         keys = GRID_KEYS[args.scheme](pts)
     lo, hi = float(keys.min()), float(keys.max())
     norm = (keys - lo) / (hi - lo) if hi > lo else np.zeros_like(keys)

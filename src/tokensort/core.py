@@ -243,11 +243,33 @@ def atomic_write(path, newline: str | None = None):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as above
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def restore_on_error(path):
+    """Put the file at `path` back as it was if the block raises: a file there
+    is hard-linked aside and moved back, and one the block made is removed."""
+    aside = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp" if os.path.isfile(path) else None
+    if aside:
+        os.link(path, aside)
+    try:
+        yield
+    except BaseException:
+        if aside:
+            os.replace(aside, path)
+        elif os.path.isfile(path):
+            os.remove(path)
+        raise
+    if aside:
+        os.remove(aside)
 
 
 def _write_jsonl(path, objs: Iterable[dict]) -> None:

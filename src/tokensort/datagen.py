@@ -6,6 +6,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -16,18 +17,11 @@ PREDICATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PlanarGenConfig:
-    n_init: int = 15
-    collapse_distance: float = 0.1
-    min_edge_angle_degrees: float = 30.0
+    # the geometry is fixed; only the seed varies from graph to graph
+    n_init: ClassVar[int] = 15
+    collapse_distance: ClassVar[float] = 0.1
+    min_edge_angle_degrees: ClassVar[float] = 30.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n_init < 3:
-            raise ValueError("n_init must be >= 3")
-        if not 0.0 < self.collapse_distance < 1.0:
-            raise ValueError("collapse_distance must be in (0, 1)")
-        if not 0.0 < self.min_edge_angle_degrees < 180.0:
-            raise ValueError("min_edge_angle_degrees must be in (0, 180)")
 
 
 class DegenerateInputError(ValueError):
@@ -35,13 +29,11 @@ class DegenerateInputError(ValueError):
 
 
 def _circumcircle(a, b, c):
-    """Center and squared radius of the circle through a, b, c.
-
-    Raises on (near-)collinear triples.
-    """
+    """Center and squared radius of the circle through a, b, c; None for a
+    (near-)collinear triple."""
     d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
     if abs(d) < PREDICATE_TOL:
-        raise DegenerateInputError("collinear triangle")
+        return None
     a2 = a[0] * a[0] + a[1] * a[1]
     b2 = b[0] * b[0] + b[1] * b[1]
     c2 = c[0] * c[0] + c[1] * c[1]
@@ -52,8 +44,12 @@ def _circumcircle(a, b, c):
 
 
 def in_circumcircle(tri_pts, p, tol: float = PREDICATE_TOL) -> bool:
-    """True if p lies strictly inside the circumcircle of the triangle."""
-    (ux, uy), r2 = _circumcircle(*tri_pts)
+    """True if p lies strictly inside the circumcircle of the triangle;
+    raises on a (near-)collinear triangle."""
+    circle = _circumcircle(*tri_pts)
+    if circle is None:
+        raise DegenerateInputError("collinear triangle")
+    (ux, uy), r2 = circle
     d2 = (p[0] - ux) ** 2 + (p[1] - uy) ** 2
     return d2 < r2 - tol
 
@@ -83,37 +79,30 @@ def delaunay(points) -> list[tuple[int, int, int]]:
     # super-triangle far enough out that its vertices stay outside the
     # circumcircles of thin triangles along the hull; at 20 * span those
     # slivers were lost on about 1 in 10 uniform sets
-    lo = pts[keep].min(axis=0)
-    hi = pts[keep].max(axis=0)
+    lo, hi = pts[keep].min(axis=0), pts[keep].max(axis=0)
     span = max(float((hi - lo).max()), 1.0)
     cx, cy = (lo + hi) / 2.0
     big = 1e6 * span
-    s0 = (cx - big, cy - big)
-    s1 = (cx + big, cy - big)
-    s2 = (cx, cy + big)
-    coords: dict[int, tuple[float, float]] = {-1: s0, -2: s1, -3: s2}
-    for i in keep:
-        coords[i] = (float(pts[i, 0]), float(pts[i, 1]))
+    coords = {-1: (cx - big, cy - big), -2: (cx + big, cy - big), -3: (cx, cy + big)}
+    coords |= {i: tuple(pts[i].tolist()) for i in keep}
 
-    tris: list[tuple[int, int, int]] = [(-3, -2, -1)]
+    # triangle -> its circumcircle, made once, in creation order. A point falls
+    # in a circle where in_circumcircle(..., tol=-PREDICATE_TOL) says so, bit
+    # for bit, and in every collinear triangle (circle None).
+    tris = {(-3, -2, -1): _circumcircle(coords[-3], coords[-2], coords[-1])}
     for i in keep:
-        p = coords[i]
-        bad = []
-        for t in tris:
-            try:
-                if in_circumcircle([coords[v] for v in t], p, tol=-PREDICATE_TOL):
-                    bad.append(t)
-            except DegenerateInputError:
-                bad.append(t)
+        px, py = coords[i]
+        bad = [t for t, c in tris.items()
+               if c is None or (px - c[0][0]) ** 2 + (py - c[0][1]) ** 2 < c[1] + PREDICATE_TOL]
         boundary: dict[tuple[int, int], int] = {}
         for t in bad:
+            del tris[t]
             for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
                 boundary[e] = boundary.get(e, 0) + 1
-        bad_set = set(bad)
-        tris = [t for t in tris if t not in bad_set]
         for e, count in boundary.items():
             if count == 1:
-                tris.append(tuple(sorted((e[0], e[1], i))))
+                t = tuple(sorted((e[0], e[1], i)))
+                tris[t] = _circumcircle(*(coords[v] for v in t))
 
     result = [t for t in tris if all(v >= 0 for v in t)]
     if not result:

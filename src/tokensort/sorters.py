@@ -221,12 +221,8 @@ def _traversal_sort(g: Graph, depth_first: bool) -> SortedSequence:
     return SortedSequence(tokenize_edges(g).values[order], order=order)
 
 
-# scheme name -> the function ordering one set, and the one ordering a corpus
-KEY_SCHEMES = {
-    "mean-squared": mean_squared_sort,
-    "lex": lexicographical_sort,
-    "svd": svd_lowrank_sort,
-}
+# scheme name -> the function ordering every set of a corpus; the per-set
+# functions above are its one-set case
 CORPUS_SCHEMES = {
     "mean-squared": mean_squared_corpus,
     "lex": lexicographical_corpus,

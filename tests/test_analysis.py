@@ -236,6 +236,41 @@ def test_rank_matrix_large_m():
     assert np.allclose(p[:, 20], p[::-1, 19], atol=1e-14)
 
 
+def _reference_rank_matrix(profile):
+    """The former rank matrix, kept as a reference: c built by one scalar
+    swap_probability call per ordered pair."""
+    m, mu, var = profile.size, profile.means, profile.variances
+    c = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                c[i, j] = swap_probability(mu[j], var[j], mu[i], var[i])
+    p = np.zeros((m, m))
+    p[0] = 1.0
+    for j in range(m):
+        p[1:] = p[1:] * (1.0 - c[:, j]) + p[:-1] * c[:, j]
+        p[0] *= 1.0 - c[:, j]
+    return p
+
+
+def test_rank_matrix_matches_scalar_reference():
+    # bit for bit, on random profiles and on near-degenerate ones: zero
+    # variances (alone or in pairs, where the 1 / 0 / 0.5 rule decides) and
+    # equal means
+    rng = np.random.default_rng(29)
+    for k in range(600):
+        m = int(rng.integers(1, 14))
+        mu, var = rng.normal(size=m), rng.uniform(0.0, 0.5, size=m)
+        if k % 3 == 1:
+            var[rng.integers(0, m, size=m // 2 + 1)] = 0.0
+            mu = np.round(mu)
+        elif k % 3 == 2:
+            var[:] = 0.0
+            mu = np.round(mu * 2) / 2
+        prof = LatentGaussianProfile(mu, var)
+        assert rank_probability_matrix(prof).tobytes() == _reference_rank_matrix(prof).tobytes()
+
+
 def _random_profile(rng, m):
     return LatentGaussianProfile(rng.normal(size=m), rng.uniform(0.0, 0.5, size=m))
 

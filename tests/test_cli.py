@@ -253,15 +253,37 @@ def test_tsp_bench_csv(tmp_path):
     # about 1e16 grid points: rejected before anything is allocated
     (["ambiguity-grid", "--scheme", "mean-squared", "--res", "100000000", "--out", "{out}"],
      2, "--res must be between 1 and 1024, got 100000000"),
+    # train-latent writes the model and its history, or neither; {taken} is a
+    # directory where the history of {tmp}/taken.json would go
+    (["train-latent", "--in", "{sets}", "--epochs", "1", "--out", "{tmp}/taken.json"],
+     1, "Is a directory: '{taken}'"),
+    (["train-latent", "--in", "{sets}", "--epochs", "1", "--out", "{taken}"],
+     1, "Is a directory: '{taken}'"),
 ], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
-        "negative-seed", "missing-directory", "res-huge"])
+        "negative-seed", "missing-directory", "res-huge", "history-is-directory", "out-is-directory"])
 def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
+    taken = tmp_path / "taken.json.history.csv"
+    taken.mkdir()
     before = sorted(tmp_path.rglob("*"))
-    args = [a.format(sets=sets_file, empty=empty, out=tmp_path / "out", tmp=tmp_path) for a in argv]
-    assert main(args) == code
-    assert fragment in capsys.readouterr().err
+    names = dict(sets=sets_file, empty=empty, out=tmp_path / "out", tmp=tmp_path, taken=taken)
+    assert main([a.format(**names) for a in argv]) == code
+    assert fragment.format(**names) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_failed_train_latent_keeps_the_previous_model(sets_file, tmp_path, capsys):
+    # the new model is written first; when its history then fails, the
+    # previous model is put back, bytes and all
+    model = tmp_path / "m.json"
+    save_model(init_model(2, seed=0), model)
+    previous = model.read_bytes()
+    (tmp_path / "m.json.history.csv").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train-latent", "--in", sets_file, "--epochs", "1", "--out", str(model)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+    assert model.read_bytes() == previous
     assert sorted(tmp_path.rglob("*")) == before
 
 

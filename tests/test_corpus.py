@@ -23,7 +23,9 @@ from tokensort.analysis import (
 from tokensort.cli import _json_float, main
 from tokensort.core import SortedSequence, TokenSet, write_token_sets
 from tokensort.latentsort import encode_batch, init_model, latent_sort, latent_sort_corpus, save_model
-from tokensort.sorters import CORPUS_SCHEMES, KEY_SCHEMES, svd_lowrank_sort
+from tokensort.sorters import CORPUS_SCHEMES, svd_lowrank_sort
+
+from test_sorters import PER_SET
 
 # one small untrained model per token dimension
 MODELS = {n: init_model(n, hidden_sizes=(8, 5), seed=n) for n in range(1, 5)}
@@ -290,7 +292,7 @@ def test_per_set_functions_are_the_one_set_case(sets):
     cases = []
     for name in CORPUS_SCHEMES:
         try:
-            cases.append((KEY_SCHEMES[name], CORPUS_SCHEMES[name](values, sizes)))
+            cases.append((PER_SET[name], CORPUS_SCHEMES[name](values, sizes)))
         except ValueError:
             assert name == "mean-squared"
             with pytest.raises(ValueError):

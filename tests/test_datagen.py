@@ -1,15 +1,19 @@
+import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokensort import datagen
 from tokensort.datagen import (
     PREDICATE_TOL,
     DegenerateInputError,
     PlanarGenConfig,
+    _circumcircle,
     _merge_close_nodes,
     delaunay,
     generate_planar_graph,
@@ -104,6 +108,82 @@ def test_delaunay_matches_scipy_in_general_position():
         assert delaunay(pts) == ref
 
 
+def _reference_delaunay(points):
+    """The former Bowyer-Watson loop, kept as a reference: every triangle's
+    circle is recomputed for every point, by in_circumcircle, and a collinear
+    triangle is bad through the exception it raises."""
+    pts = np.asarray(points, dtype=float)
+    keep, seen = [], set()
+    for i, p in enumerate(pts):
+        if p.tobytes() not in seen:
+            seen.add(p.tobytes())
+            keep.append(i)
+    if len(keep) < 3:
+        raise DegenerateInputError("need at least 3 distinct points")
+    lo, hi = pts[keep].min(axis=0), pts[keep].max(axis=0)
+    span = max(float((hi - lo).max()), 1.0)
+    cx, cy = (lo + hi) / 2.0
+    big = 1e6 * span
+    coords = {-1: (cx - big, cy - big), -2: (cx + big, cy - big), -3: (cx, cy + big)}
+    for i in keep:
+        coords[i] = (float(pts[i, 0]), float(pts[i, 1]))
+    tris = [(-3, -2, -1)]
+    for i in keep:
+        p = coords[i]
+        bad = []
+        for t in tris:
+            try:
+                if in_circumcircle([coords[v] for v in t], p, tol=-PREDICATE_TOL):
+                    bad.append(t)
+            except DegenerateInputError:
+                bad.append(t)
+        boundary = {}
+        for t in bad:
+            for e in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2])):
+                boundary[e] = boundary.get(e, 0) + 1
+        bad_set = set(bad)
+        tris = [t for t in tris if t not in bad_set]
+        for e, count in boundary.items():
+            if count == 1:
+                tris.append(tuple(sorted((e[0], e[1], i))))
+    result = [t for t in tris if all(v >= 0 for v in t)]
+    if not result:
+        raise DegenerateInputError("all points collinear")
+    return sorted(result)
+
+
+def _outcome(triangulate, pts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return triangulate(pts)
+        except DegenerateInputError as exc:
+            return str(exc)
+
+
+def test_delaunay_matches_reference_loop(monkeypatch):
+    # each circle is computed once, when its triangle is made: the same
+    # triangles as testing every point against recomputed circles, on
+    # uniform sets, on sets snapped to a grid (collinear triples, cocircular
+    # quadruples, duplicates) and on sets with a collinear run
+    circles = []
+    monkeypatch.setattr(datagen, "_circumcircle",
+                        lambda *abc: circles.append(_circumcircle(*abc)) or circles[-1])
+    rng = np.random.default_rng(17)
+    collinear = 0
+    for k in range(600):
+        pts = rng.uniform(size=(int(rng.integers(3, 40)), 2))
+        if k % 3 == 1:
+            pts = np.round(pts * 4) / 4
+        elif k % 3 == 2:
+            pts[: len(pts) // 2, 1] = 0.5
+        ref = _outcome(_reference_delaunay, pts)
+        circles.clear()
+        assert _outcome(delaunay, pts) == ref
+        collinear += circles.count(None)
+    assert collinear > 100  # collinear triangles were made, and are always bad
+
+
 def _check_postconditions(g, cfg):
     n = len(g.node_features)
     for u, v in g.edges:
@@ -140,13 +220,14 @@ def test_planar_generator_deterministic():
     assert a.edges == b.edges
 
 
-def test_planar_config_validation():
-    with pytest.raises(ValueError):
+def test_planar_config_has_only_its_seed():
+    # the geometry is fixed: class constants, read as the fields were
+    assert [f.name for f in dataclasses.fields(PlanarGenConfig)] == ["seed"]
+    cfg = PlanarGenConfig(seed=7)
+    assert (cfg.n_init, cfg.collapse_distance, cfg.min_edge_angle_degrees) == (15, 0.1, 30.0)
+    assert PlanarGenConfig() == PlanarGenConfig(seed=0) != cfg
+    with pytest.raises(TypeError):
         PlanarGenConfig(n_init=2)
-    with pytest.raises(ValueError):
-        PlanarGenConfig(collapse_distance=1.5)
-    with pytest.raises(ValueError):
-        PlanarGenConfig(min_edge_angle_degrees=0.0)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(4, 12))

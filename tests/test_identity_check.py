@@ -1,5 +1,5 @@
 """The comparison and report logic of tools/identity_check.py, on fabricated
-digests, and its smd script on a few graphs; no git and no tokensort command
+digests, and its smd and delaunay scripts; no git and no tokensort command
 runs here."""
 import importlib.util
 import json
@@ -9,9 +9,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tokensort.core import write_graphs
-from tokensort.datagen import PlanarGenConfig, generate_planar_graph
+from tokensort.datagen import DegenerateInputError, PlanarGenConfig, delaunay, generate_planar_graph
 from tokensort.metrics import smd
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_check.py"
@@ -66,7 +67,8 @@ def test_commands_cover_every_scheme_and_output(tmp_path):
     assert cmds["gen-planar"][cmds["gen-planar"].index("--seed") + 1] == "3"
     assert cmds["metrics"][:5] == ["metrics", "--pred", str(tmp_path / "corpus.jsonl"),
                                    "--gt", str(tmp_path / "snapped.jsonl")]
-    assert cmds["ambiguity-grid scheme"][:2] == ["ambiguity-grid", "--scheme"]
+    for scheme in ("mean-squared", "summation"):
+        assert cmds[f"ambiguity-grid {scheme}"][:3] == ["ambiguity-grid", "--scheme", scheme]
     assert cmds["ambiguity-grid model"][:3] == ["ambiguity-grid", "--model", str(tmp_path / "model.json")]
     assert cmds["tsp-bench"][cmds["tsp-bench"].index("--seed") + 1] == "3"
     # every command writes one distinct output
@@ -98,3 +100,21 @@ def test_smd_script_scores_consecutive_pairs_then_self_pairs(tmp_path):
                           capture_output=True, text=True, check=True)
     pairs = [(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)]
     assert proc.stdout.splitlines() == [smd(graphs[i], graphs[j]).hex() for i, j in pairs]
+
+
+def test_delaunay_script_prints_each_set_in_four_forms():
+    tool = _load_tool()
+    src = str(Path(tool.ROOT) / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", tool.DELAUNAY_SCRIPT, "3"], env=env,
+                          capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 * tool.DELAUNAY_SETS
+    rng = np.random.default_rng(np.random.SeedSequence([3, 11]))
+    pts = rng.uniform(size=(int(rng.integers(4, 40)), 2))
+    snapped = np.round(pts * 4) / 4
+    with pytest.warns(UserWarning, match="duplicate"):
+        assert lines[1] == str(delaunay(snapped))
+    assert lines[0] == str(delaunay(pts))
+    # the error path prints too: sets put on one line can fail as collinear
+    assert repr(DegenerateInputError("all points collinear")) in lines[3::4]

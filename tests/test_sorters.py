@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tokensort.cli import SORT_SCHEMES
 from tokensort.core import Graph, TokenSet, edge_token, tokenize_edges
 from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 from tokensort.latentsort import init_model, latent_sort
 from tokensort.sorters import (
-    KEY_SCHEMES,
+    CORPUS_SCHEMES,
     bfs_sort,
     dfs_sort,
     lexicographical_sort,
@@ -22,6 +23,10 @@ from tokensort.sorters import (
     sort_by_keys,
     svd_lowrank_sort,
 )
+
+
+# the named per-set sorts, by the CORPUS_SCHEMES name each is the one-set case of
+PER_SET = {"mean-squared": mean_squared_sort, "lex": lexicographical_sort, "svd": svd_lowrank_sort}
 
 
 def _is_perm(original: np.ndarray, arranged: np.ndarray) -> bool:
@@ -40,13 +45,25 @@ def test_sorts_return_their_permutation():
     cases = []
     for _ in range(20):
         x = TokenSet(np.round(rng.uniform(size=(int(rng.integers(1, 12)), 3)) * 2) / 2)
-        cases += [(x, fn(x)) for fn in KEY_SCHEMES.values()] + [(x, latent_sort(model, x))]
+        cases += [(x, fn(x)) for fn in PER_SET.values()] + [(x, latent_sort(model, x))]
     graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in range(5)]
     graphs.append(Graph(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), ((1, 2), (0, 1), (1, 0)),
                         directed=True))
     cases += [(tokenize_edges(g), fn(g)) for g in graphs for fn in (bfs_sort, dfs_sort)]
     for x, seq in cases:
         assert np.array_equal(x.values[seq.order], seq.rows)
+
+
+def test_per_set_sorts_are_their_corpus_schemes():
+    # CORPUS_SCHEMES is the one scheme table; the CLI offers its names and latent
+    assert sorted(PER_SET) == sorted(CORPUS_SCHEMES)
+    assert SORT_SCHEMES == sorted(CORPUS_SCHEMES) + ["latent"]
+    x = TokenSet(np.array([[0.5, 0.25], [0.0, 1.0], [0.5, 0.25], [-2.0, 0.125]]))
+    for name, one_set in PER_SET.items():
+        seq, part = one_set(x), CORPUS_SCHEMES[name](x.values, [x.size]).sequence(0)
+        for field in ("rows", "keys", "raw_keys", "order"):
+            a, b = getattr(seq, field), getattr(part, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (name, field)
 
 
 def test_mean_squared_order():
@@ -281,7 +298,7 @@ def test_traversal_antiparallel_directed_edges():
 @settings(max_examples=60, deadline=None)
 def test_key_schemes_emit_permutations(vals):
     x = TokenSet(vals)
-    for name, fn in KEY_SCHEMES.items():
+    for name, fn in PER_SET.items():
         if name == "mean-squared" and _mean_squared_underflows(vals):
             with pytest.raises(ValueError, match="underflow"):
                 fn(x)

@@ -9,12 +9,13 @@ style (1000 sets of 4-12 points in the unit square, every second set snapped
 to a grid of eighths) and runs, on each side, `tokensort train-latent` on it
 (10 epochs, lgp 0.01), `sort` and `analyze` with every scheme (latent with the
 side's own model), `gen-planar --count 20`, `metrics` of the corpus against
-its copy with every set snapped to the grid, `ambiguity-grid` by a scheme and
-by the side's model, and a small `tsp-bench`. It also runs `metrics.smd` of
+its copy with every set snapped to the grid, `ambiguity-grid` by each scheme
+and by the side's model, and a small `tsp-bench`. It also runs `metrics.smd` of
 the side's tree on the base side's `gen-planar` graphs: each consecutive pair
-and each graph with itself, every value written with `float.hex`. It compares
-the sha256 of every output, prints one line per output and exits 1 unless
-every digest matches.
+and each graph with itself, every value written with `float.hex`; and
+`datagen.delaunay` of the side's tree on seeded point sets, collinear triples
+and duplicate points among them. It compares the sha256 of every output,
+prints one line per output and exits 1 unless every digest matches.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ EPOCHS = 10
 LGP = 0.01
 PLANAR_GRAPHS = 20
 MATCH_TOL = 0.05  # below the largest snapping shift, so some tokens match and some do not
+GRID_SCHEMES = ("mean-squared", "summation")
 GRID_RES = 64
 TSP_BENCH = ["--n", "5", "--runs", "2", "--epochs", "2", "--train-sets", "50"]
 # argv[1]: a graph file; prints the smd of each consecutive pair of its graphs,
@@ -51,6 +53,28 @@ from tokensort.metrics import smd
 graphs = read_graphs(sys.argv[1])
 pairs = list(zip(graphs, graphs[1:])) + [(g, g) for g in graphs]
 print("\\n".join(smd(a, b).hex() for a, b in pairs))
+"""
+# argv[1]: a seed; prints the triangles delaunay returns, or the error it
+# raises, one line a set, for DELAUNAY_SETS seeded sets of 4-39 points in the
+# unit square, each in four forms: as drawn, snapped to a grid of quarters
+# (collinear triples, duplicate points), with its first half moved onto one
+# line, and with all of it on that line
+DELAUNAY_SETS = 200
+DELAUNAY_SCRIPT = f"""
+import sys, warnings
+import numpy as np
+from tokensort.datagen import DegenerateInputError, delaunay
+warnings.simplefilter("ignore")  # the duplicate-point warning
+rng = np.random.default_rng(np.random.SeedSequence([int(sys.argv[1]), 11]))
+for _ in range({DELAUNAY_SETS}):
+    pts = rng.uniform(size=(int(rng.integers(4, 40)), 2))
+    half, line = pts.copy(), pts.copy()
+    half[: len(pts) // 2, 1] = line[:, 1] = 0.5
+    for p in (pts, np.round(pts * 4) / 4, half, line):
+        try:
+            print(delaunay(p))
+        except DegenerateInputError as exc:
+            print(repr(exc))
 """
 
 
@@ -90,9 +114,10 @@ def commands(corpus: Path, snapped: Path, out: Path, seed: int) -> dict[str, lis
                           "--out", str(out / "planar.jsonl")]
     cmds["metrics"] = ["metrics", "--pred", str(corpus), "--gt", str(snapped),
                        "--match-tol", str(MATCH_TOL), "--out", str(out / "metrics.csv")]
-    for source, value in (("scheme", "mean-squared"), ("model", str(model))):
-        cmds[f"ambiguity-grid {source}"] = ["ambiguity-grid", f"--{source}", value, "--res",
-                                            str(GRID_RES), "--out", str(out / f"grid-{source}.csv")]
+    grids = {scheme: ["--scheme", scheme] for scheme in GRID_SCHEMES} | {"model": ["--model", str(model)]}
+    for name, source in grids.items():
+        cmds[f"ambiguity-grid {name}"] = ["ambiguity-grid", *source, "--res", str(GRID_RES),
+                                          "--out", str(out / f"grid-{name}.csv")]
     cmds["tsp-bench"] = ["tsp-bench", *TSP_BENCH, "--seed", str(seed),
                          "--out", str(out / "tsp-bench.csv")]
     return cmds
@@ -104,8 +129,9 @@ def _sha256(path: Path) -> str:
 
 def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
              graphs: Path) -> dict[str, str]:
-    """Run every command, then SMD_SCRIPT on `graphs`, with the tokensort of
-    `tree`; output name -> sha256, or "exit <code>" for one that failed."""
+    """Run every command, then SMD_SCRIPT on `graphs` and DELAUNAY_SCRIPT at
+    `seed`, with the tokensort of `tree`; output name -> sha256, or
+    "exit <code>" for one that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
@@ -119,10 +145,11 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
         digests[name] = _sha256(target)
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
-    proc = subprocess.run([sys.executable, "-c", SMD_SCRIPT, str(graphs)], cwd=out, env=env,
-                          capture_output=True)
-    digests["smd"] = (hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0
-                      else f"exit {proc.returncode}")
+    for name, script, arg in (("smd", SMD_SCRIPT, graphs), ("delaunay", DELAUNAY_SCRIPT, seed)):
+        proc = subprocess.run([sys.executable, "-c", script, str(arg)], cwd=out, env=env,
+                              capture_output=True)
+        digests[name] = (hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0
+                         else f"exit {proc.returncode}")
     return digests
 
 
