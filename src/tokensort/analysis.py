@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedCorpus, SortedSequence, TokenSet
+from .core import SortedCorpus, SortedSequence, TokenSet, set_ids
 from .latentsort import LatentSortModel, decode_batch, encode_batch
-from .sorters import set_ids
 
 ROW_SUM_TOL = 1e-9
 DEFAULT_KEY_TOL = 1e-9
@@ -153,24 +152,24 @@ def sorting_error(p: np.ndarray, y_star: SortedSequence) -> float:
     return float(np.sum(diff * diff))
 
 
-def _phi(z: float) -> float:
-    """Standard normal CDF via the error function (abs error well under 1e-12)."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+def _phi(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF via the error function, elementwise (abs error
+    well under 1e-12)."""
+    w = -z / math.sqrt(2.0)
+    return 0.5 * np.array([math.erfc(x) for x in w.ravel().tolist()]).reshape(w.shape)
 
 
-def swap_probability(mu_i: float, var_i: float, mu_j: float, var_j: float) -> float:
-    """P(h_i < h_j) for independent Gaussian latents.
+def swap_probability(mu_i, var_i, mu_j, var_j):
+    """P(h_i < h_j) for independent Gaussian latents, elementwise over
+    arguments that broadcast together; a float64 for scalar arguments.
 
     Degenerate case (both variances zero): 1 / 0 / 0.5 by mean comparison.
     """
-    s2 = var_i + var_j
-    if s2 <= 0.0:
-        if mu_i < mu_j:
-            return 1.0
-        if mu_i > mu_j:
-            return 0.0
-        return 0.5
-    return _phi(-(mu_i - mu_j) / math.sqrt(s2))
+    s2 = np.add(var_i, var_j)
+    diff = np.subtract(mu_i, mu_j)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where s2 is 0 the means decide
+        z = -diff / np.sqrt(s2)
+    return np.where(s2 <= 0.0, np.where(diff < 0, 1.0, np.where(diff > 0, 0.0, 0.5)), _phi(z))[()]
 
 
 def rank_probability_matrix(profile: LatentGaussianProfile) -> np.ndarray:
@@ -190,13 +189,8 @@ def rank_probability_matrix(profile: LatentGaussianProfile) -> np.ndarray:
     """
     m = profile.size
     mu, var = profile.means, profile.variances
-    # c[i][j] = P(h_i > h_j) = swap_probability(mu[j], var[j], mu[i], var[i]),
-    # in its operation order; the zero diagonal leaves rank i unchanged at j = i
-    s2 = var[None, :] + var[:, None]
-    c = np.where(mu[None, :] < mu[:, None], 1.0, np.where(mu[None, :] > mu[:, None], 0.0, 0.5))
-    spread = s2 > 0.0
-    z = -(mu[None, :] - mu[:, None])[spread] / np.sqrt(s2[spread])
-    c[spread] = [_phi(x) for x in z.tolist()]
+    # c[i][j] = P(h_i > h_j); the zero diagonal leaves rank i unchanged at j = i
+    c = swap_probability(mu[None, :], var[None, :], mu[:, None], var[:, None])
     np.fill_diagonal(c, 0.0)
     p = np.zeros((m, m))
     p[0] = 1.0
@@ -219,27 +213,19 @@ def tridiagonal_P(profile: LatentGaussianProfile) -> np.ndarray:
     m = profile.size
     if np.any(np.diff(mu) < 0):
         raise ValueError("tridiagonal approximation requires non-decreasing latent means")
-    p = np.zeros((m, m))
-    for j in range(m):
-        # x = P(element j sorts below its left neighbor), y = below its right
-        x = swap_probability(mu[j], var[j], mu[j - 1], var[j - 1]) if j > 0 else 0.0
-        y = swap_probability(mu[j], var[j], mu[j + 1], var[j + 1]) if j < m - 1 else 1.0
-        p[j, j] = x * (1.0 - y) + y * (1.0 - x)
-        if j > 0:
-            p[j - 1, j] = x * y
-        if j < m - 1:
-            p[j + 1, j] = (1.0 - x) * (1.0 - y)
+    # x[j] = P(element j sorts below its left neighbor), y[j] = below its right
+    x, y = np.zeros(m), np.ones(m)
+    x[1:] = swap_probability(mu[1:], var[1:], mu[:-1], var[:-1])
+    y[:-1] = swap_probability(mu[:-1], var[:-1], mu[1:], var[1:])
+    p = np.diag(x * (1.0 - y) + y * (1.0 - x))
+    j = np.arange(1, m)
+    p[j - 1, j] = x[1:] * y[1:]
+    p[j, j - 1] = (1.0 - x[:-1]) * (1.0 - y[:-1])
     return p
 
 
 def _check_tridiagonal(p: np.ndarray) -> None:
-    mask = np.ones_like(p, dtype=bool)
-    m = p.shape[0]
-    idx = np.arange(m)
-    mask[idx, idx] = False
-    mask[idx[:-1], idx[1:]] = False
-    mask[idx[1:], idx[:-1]] = False
-    if np.any(p[mask] != 0.0):
+    if np.triu(p, 2).any() or np.tril(p, -2).any():
         raise ValueError("P must be tridiagonal")
 
 

@@ -136,6 +136,16 @@ class SortedCorpus:
                 raise ValueError(f"{name} must be finite (no NaN/Inf)")
         object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
 
+    @classmethod
+    def from_order(cls, values: np.ndarray, sizes, rows_order: np.ndarray, keys=None,
+                   raw_keys=None) -> SortedCorpus:
+        """The corpus `values` permuted by `rows_order`, a row order that keeps
+        each set's rows together and the sets in input order; `keys` and
+        `raw_keys` are given in that order already."""
+        sizes = np.asarray(sizes, dtype=np.intp)
+        local = rows_order - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return cls(values[rows_order], sizes, local, keys=keys, raw_keys=raw_keys)
+
     def sequence(self, k: int) -> SortedSequence:
         part = slice(self.starts[k], self.starts[k] + self.sizes[k])
         return SortedSequence(
@@ -144,6 +154,28 @@ class SortedCorpus:
             raw_keys=None if self.raw_keys is None else self.raw_keys[part],
             order=self.order[part],
         )
+
+
+def set_ids(sizes) -> np.ndarray:
+    """The index of the set each row of a corpus belongs to."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def by_set_size(fn, values: np.ndarray, sizes) -> np.ndarray:
+    """fn of every set of a corpus, one value per row: the sets of each size
+    are stacked, (B, M, N), and fn maps them to (B, M). A corpus of one set
+    size is one reshape."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    set_sizes = set(sizes.tolist())
+    if len(set_sizes) == 1:
+        return fn(values.reshape(len(sizes), -1, values.shape[1])).ravel()
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty(len(values))
+    for m in set_sizes:
+        rows = starts[sizes == m][:, None] + np.arange(m)
+        out[rows] = fn(values[rows])
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,13 +382,8 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
 
 def read_token_sets(path) -> list[TokenSet]:
     """The token sets of a file, in order (see read_corpus)."""
-    out: list[TokenSet] = []
-    for values, sizes, ids in read_corpus(path):
-        end = 0
-        for size, id_ in zip(sizes, ids):
-            out.append(TokenSet(values[end : end + size], id=id_))
-            end += size
-    return out
+    return [TokenSet(part, id=id_) for values, sizes, ids in read_corpus(path)
+            for part, id_ in zip(np.split(values, np.cumsum(sizes)[:-1]), ids)]
 
 
 def write_graphs(path, graphs: Iterable[Graph]) -> None:
@@ -365,11 +392,14 @@ def write_graphs(path, graphs: Iterable[Graph]) -> None:
 
 
 def _graph(obj) -> Graph:
-    return Graph(
-        np.asarray(obj["nodes"], dtype=np.float64),
-        tuple((int(u), int(v)) for u, v in obj["edges"]),
-        directed=bool(obj.get("directed", False)),
-    )
+    directed = obj.get("directed", False)
+    if type(directed) is not bool:
+        raise ValueError(f'"directed" must be true or false, got {directed!r}')
+    edges = [(u, v) for u, v in obj["edges"]]
+    bad = [x for e in edges for x in e if type(x) is not int]
+    if bad:
+        raise ValueError(f"edge endpoints must be integers, got {bad[0]!r}")
+    return Graph(np.asarray(obj["nodes"], dtype=np.float64), tuple(edges), directed=directed)
 
 
 def read_graphs(path) -> list[Graph]:

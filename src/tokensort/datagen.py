@@ -104,7 +104,8 @@ def delaunay(points) -> list[tuple[int, int, int]]:
                 t = tuple(sorted((e[0], e[1], i)))
                 tris[t] = _circumcircle(*(coords[v] for v in t))
 
-    result = [t for t in tris if all(v >= 0 for v in t)]
+    # a collinear triangle (circle None) has no area and is no triangle of the result
+    result = [t for t, c in tris.items() if c is not None and min(t) >= 0]
     if not result:
         raise DegenerateInputError("all points collinear")
     return sorted(result)

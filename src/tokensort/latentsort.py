@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SortedCorpus, SortedSequence, TokenSet, atomic_write
-from .sorters import set_ids
+from .core import SortedCorpus, SortedSequence, TokenSet, atomic_write, by_set_size, set_ids
 
 MODEL_FORMAT_VERSION = 1
 
@@ -209,22 +208,14 @@ def latent_sort_corpus(m: LatentSortModel, values: np.ndarray, sizes) -> SortedC
     A set's keys are the same here as in latent_sort of that set alone.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    set_sizes = set(sizes.tolist())
-    if len(set_sizes) == 1:  # the corpus is already stacked
-        raw = encode_batch(m, values.reshape(len(sizes), -1, values.shape[1])).ravel()
-    else:
-        raw = np.empty(len(values))
-        for k in set_sizes:
-            rows = starts[sizes == k][:, None] + np.arange(k)
-            raw[rows] = encode_batch(m, values[rows])
+    raw = by_set_size(lambda sets: encode_batch(m, sets), values, sizes)
     rows_order = np.lexsort((raw, set_ids(sizes)))
     raw = raw[rows_order]
+    starts = np.cumsum(sizes) - sizes
     low = np.repeat(raw[starts], sizes)
     span = np.repeat(raw[starts + sizes - 1], sizes) - low
     norm = np.divide(raw - low, span, out=np.zeros_like(raw), where=span > 0)
-    local = rows_order - np.repeat(starts, sizes)
-    return SortedCorpus(values[rows_order], sizes, local, keys=norm, raw_keys=raw)
+    return SortedCorpus.from_order(values, sizes, rows_order, keys=norm, raw_keys=raw)
 
 
 def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:

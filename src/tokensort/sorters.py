@@ -14,30 +14,16 @@ from collections import deque
 
 import numpy as np
 
-from .core import Graph, SortedCorpus, SortedSequence, TokenSet, tokenize_edges
-
-
-def set_ids(sizes) -> np.ndarray:
-    """The index of the set each row of a corpus belongs to."""
-    sizes = np.asarray(sizes, dtype=np.intp)
-    return np.repeat(np.arange(len(sizes)), sizes)
-
-
-def _corpus(rows_order: np.ndarray, values: np.ndarray, sizes, keys=None) -> SortedCorpus:
-    """The corpus permuted by `rows_order`, a row order that keeps each set's
-    rows together and the sets in input order."""
-    sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    local = rows_order - np.repeat(starts, sizes)
-    k = None if keys is None else keys[rows_order]
-    return SortedCorpus(values[rows_order], sizes, local, keys=k, raw_keys=k)
+from .core import Graph, SortedCorpus, SortedSequence, TokenSet, by_set_size, set_ids, tokenize_edges
 
 
 def sort_corpus_by_keys(values: np.ndarray, sizes, keys: np.ndarray) -> SortedCorpus:
     """Each set of a corpus sorted stably ascending by its tokens' keys, all
     sets in one lexsort with the set index as the primary key."""
     keys = np.asarray(keys, dtype=np.float64)
-    return _corpus(np.lexsort((keys, set_ids(sizes))), values, sizes, keys)
+    rows_order = np.lexsort((keys, set_ids(sizes)))
+    keys = keys[rows_order]
+    return SortedCorpus.from_order(values, sizes, rows_order, keys=keys, raw_keys=keys)
 
 
 def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
@@ -76,7 +62,7 @@ def mean_squared_sort(x: TokenSet) -> SortedSequence:
 
 def lexicographical_corpus(values: np.ndarray, sizes) -> SortedCorpus:
     """lexicographical_sort of every set of a corpus."""
-    return _corpus(np.lexsort((*values.T[::-1], set_ids(sizes))), values, sizes)
+    return SortedCorpus.from_order(values, sizes, np.lexsort((*values.T[::-1], set_ids(sizes))))
 
 
 def lexicographical_sort(x: TokenSet) -> SortedSequence:
@@ -128,31 +114,28 @@ def principal_direction(values: np.ndarray) -> np.ndarray | None:
     return directions[0] if defined[0] else None
 
 
-def _svd_keys(values: np.ndarray, sizes) -> np.ndarray:
+def _svd_keys(values: np.ndarray) -> np.ndarray:
     """Projection of each token onto its set's principal direction, after
-    centring the set; 0 for every token of a set without one. Sets of one
-    size are computed stacked.
-
-    Raises ValueError when a key overflows float64.
-    """
-    sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    keys = np.zeros(len(values))
-    for m in sorted(set(sizes.tolist())):
-        rows = starts[sizes == m][:, None] + np.arange(m)
-        centered, exponents, directions, defined = _stacked_directions(values[rows])
-        rows = rows[defined]
-        with np.errstate(over="ignore"):
-            projected = centered[defined] @ directions[defined][:, :, None]
-            keys[rows] = np.ldexp(projected[:, :, 0], exponents[defined][:, None])
-    if not np.isfinite(keys).all():
-        raise ValueError("svd key overflows float64: token components too large")
+    centring the set, for B sets of M tokens, values (B, M, N); 0 for every
+    token of a set without one."""
+    centered, exponents, directions, defined = _stacked_directions(values)
+    keys = np.zeros(values.shape[:2])
+    with np.errstate(over="ignore"):
+        projected = centered[defined] @ directions[defined][:, :, None]
+        keys[defined] = np.ldexp(projected[:, :, 0], exponents[defined][:, None])
     return keys
 
 
 def svd_lowrank_corpus(values: np.ndarray, sizes) -> SortedCorpus:
-    """svd_lowrank_sort of every set of a corpus."""
-    return sort_corpus_by_keys(values, sizes, _svd_keys(values, sizes))
+    """svd_lowrank_sort of every set of a corpus, the sets of each size
+    computed stacked.
+
+    Raises ValueError when a key overflows float64.
+    """
+    keys = by_set_size(_svd_keys, values, sizes)
+    if not np.isfinite(keys).all():
+        raise ValueError("svd key overflows float64: token components too large")
+    return sort_corpus_by_keys(values, sizes, keys)
 
 
 def svd_lowrank_sort(x: TokenSet) -> SortedSequence:

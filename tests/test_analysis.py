@@ -236,6 +236,19 @@ def test_rank_matrix_large_m():
     assert np.allclose(p[:, 20], p[::-1, 19], atol=1e-14)
 
 
+def _reference_swap_probability(mu_i, var_i, mu_j, var_j):
+    """The former scalar swap_probability, kept as a reference."""
+    s2 = var_i + var_j
+    if s2 <= 0.0:
+        if mu_i < mu_j:
+            return 1.0
+        if mu_i > mu_j:
+            return 0.0
+        return 0.5
+    z = -(mu_i - mu_j) / math.sqrt(s2)
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 def _reference_rank_matrix(profile):
     """The former rank matrix, kept as a reference: c built by one scalar
     swap_probability call per ordered pair."""
@@ -244,7 +257,7 @@ def _reference_rank_matrix(profile):
     for i in range(m):
         for j in range(m):
             if i != j:
-                c[i, j] = swap_probability(mu[j], var[j], mu[i], var[i])
+                c[i, j] = _reference_swap_probability(mu[j], var[j], mu[i], var[i])
     p = np.zeros((m, m))
     p[0] = 1.0
     for j in range(m):
@@ -253,22 +266,69 @@ def _reference_rank_matrix(profile):
     return p
 
 
-def test_rank_matrix_matches_scalar_reference():
-    # bit for bit, on random profiles and on near-degenerate ones: zero
-    # variances (alone or in pairs, where the 1 / 0 / 0.5 rule decides) and
-    # equal means
-    rng = np.random.default_rng(29)
-    for k in range(600):
+def _reference_tridiagonal_P(profile):
+    """The former tridiagonal_P, kept as a reference: one scalar
+    swap_probability call per neighbour, column by column."""
+    mu, var, m = profile.means, profile.variances, profile.size
+    p = np.zeros((m, m))
+    for j in range(m):
+        x = _reference_swap_probability(mu[j], var[j], mu[j - 1], var[j - 1]) if j > 0 else 0.0
+        y = _reference_swap_probability(mu[j], var[j], mu[j + 1], var[j + 1]) if j < m - 1 else 1.0
+        p[j, j] = x * (1.0 - y) + y * (1.0 - x)
+        if j > 0:
+            p[j - 1, j] = x * y
+        if j < m - 1:
+            p[j + 1, j] = (1.0 - x) * (1.0 - y)
+    return p
+
+
+def _near_degenerate_profiles(seed, count):
+    """Random profiles of 1-13 elements, and near-degenerate ones: zero
+    variances (alone or in pairs, where the 1 / 0 / 0.5 rule decides), equal
+    means, and both at once."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
         m = int(rng.integers(1, 14))
         mu, var = rng.normal(size=m), rng.uniform(0.0, 0.5, size=m)
-        if k % 3 == 1:
+        if k % 4 == 1:
             var[rng.integers(0, m, size=m // 2 + 1)] = 0.0
             mu = np.round(mu)
-        elif k % 3 == 2:
+        elif k % 4 == 2:
             var[:] = 0.0
             mu = np.round(mu * 2) / 2
-        prof = LatentGaussianProfile(mu, var)
+        elif k % 4 == 3:
+            mu = np.full(m, mu[0])
+        yield LatentGaussianProfile(mu, var)
+
+
+def test_rank_matrix_matches_scalar_reference():
+    # bit for bit, on random and near-degenerate profiles
+    for prof in _near_degenerate_profiles(29, 800):
         assert rank_probability_matrix(prof).tobytes() == _reference_rank_matrix(prof).tobytes()
+
+
+def test_tridiagonal_matches_loop_reference():
+    for prof in _near_degenerate_profiles(31, 800):
+        prof = LatentGaussianProfile(np.sort(prof.means), prof.variances)
+        assert tridiagonal_P(prof).tobytes() == _reference_tridiagonal_P(prof).tobytes()
+    assert tridiagonal_P(LatentGaussianProfile(np.zeros(0), np.zeros(0))).shape == (0, 0)
+
+
+def test_swap_probability_broadcasts_as_the_scalar_reference():
+    for prof in _near_degenerate_profiles(37, 300):
+        mu, var, m = prof.means, prof.variances, prof.size
+        p = swap_probability(mu[:, None], var[:, None], mu[None, :], var[None, :])
+        assert p.shape == (m, m) and p.dtype == np.float64
+        ref = np.array([[_reference_swap_probability(mu[i], var[i], mu[j], var[j]) for j in range(m)]
+                        for i in range(m)])
+        assert p.tobytes() == ref.tobytes()
+        one = swap_probability(mu[-1], var[-1], mu[0], var[0])  # numpy scalars in
+        assert type(one) is np.float64 and one == ref[-1, 0]
+    # Python floats in, a float64 out; each argument broadcasts on its own
+    assert type(swap_probability(0.3, 0.2, -0.1, 0.05)) is np.float64
+    assert swap_probability(np.zeros(3), 0.5, 1.0, np.ones((2, 1))).shape == (2, 3)
+    assert swap_probability(np.arange(4.0), 0.0, [[1.0], [2.0]], 0.0).tolist() == [
+        [1.0, 0.5, 0.0, 0.0], [1.0, 1.0, 0.5, 0.0]]
 
 
 def _random_profile(rng, m):

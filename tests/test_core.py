@@ -10,10 +10,12 @@ from tokensort.core import (
     SortedCorpus,
     SortedSequence,
     TokenSet,
+    by_set_size,
     edge_token,
     read_corpus,
     read_graphs,
     read_token_sets,
+    set_ids,
     swap_endpoints,
     tokenize_edges,
     write_graphs,
@@ -203,6 +205,41 @@ def test_write_sequences_matches_json_dumps_per_line(tmp_path, sizes, key_kind):
     assert (tmp_path / "c.jsonl").read_text() == "".join(lines) * 2
 
 
+def _running_scores(sets):
+    """A per-set function whose every value depends on its set's shape and
+    on the tokens before it in the set."""
+    return np.cumsum(sets[..., 0] * sets.shape[1] + sets[..., -1], axis=1)
+
+
+@pytest.mark.parametrize("sizes", [
+    list(range(1, 41)) + [5, 40, 1, 17, 5],  # ragged: every size 1-40, some repeated
+    [6] * 9,  # one size
+    [40],
+])
+def test_by_set_size_is_per_set_application(sizes):
+    values = np.random.default_rng(len(sizes)).normal(size=(sum(sizes), 3))
+    blocks = []
+    out = by_set_size(lambda sets: blocks.append(sets) or _running_scores(sets), values, sizes)
+    starts = np.cumsum(sizes) - sizes
+    ref = [_running_scores(values[a : a + m][None])[0] for a, m in zip(starts, sizes)]
+    assert out.dtype == np.float64 and out.tobytes() == np.concatenate(ref).tobytes()
+    # one stacked call per set size; a corpus of one size is passed as a view
+    assert sorted(b.shape for b in blocks) == sorted((sizes.count(m), m, 3) for m in set(sizes))
+    assert (len(blocks) == 1) == np.shares_memory(blocks[0], values)
+    assert set_ids(sizes).tolist() == [k for k, m in enumerate(sizes) for _ in range(m)]
+
+
+def test_sorted_corpus_from_order():
+    values = np.arange(12.0).reshape(6, 2)
+    rows_order = np.array([1, 0, 2, 5, 3, 4])  # sets [0, 1], [2], [3, 4, 5]
+    keys = np.array([0.25, 0.5, 1.0, 2.0, 2.5, 3.0])  # in the new row order
+    corpus = SortedCorpus.from_order(values, [2, 1, 3], rows_order, keys=keys, raw_keys=-keys)
+    assert corpus.rows.tolist() == values[rows_order].tolist()
+    assert corpus.order.tolist() == [1, 0, 0, 2, 0, 1]
+    assert corpus.keys is keys and corpus.raw_keys.tolist() == (-keys).tolist()
+    assert corpus.sequence(2).rows.tolist() == [[10.0, 11.0], [6.0, 7.0], [8.0, 9.0]]
+
+
 def test_write_sequences_one_column_and_empty(tmp_path):
     one = SortedSequence(np.array([[x] for x in ODD_FLOATS]), keys=np.sort(ODD_FLOATS))
     write_sequences(tmp_path / "s.jsonl", [one])
@@ -314,6 +351,21 @@ def test_read_graphs_names_first_bad_line(tmp_path):
         read_graphs(p)
     with pytest.raises(FileNotFoundError):
         read_graphs(tmp_path / "absent.jsonl")
+    # a flag that is not a JSON boolean, and an endpoint that is not a JSON
+    # integer, are refused rather than read as truthy or truncated
+    nodes = [[0.0, 0.0], [1.0, 1.0]]
+    for fields, message in [
+        ({"edges": [[0, 1]], "directed": "false"}, "\"directed\" must be true or false, got 'false'"),
+        ({"edges": [[0, 1]], "directed": 0}, "\"directed\" must be true or false, got 0"),
+        ({"edges": [[0, 1]], "directed": None}, "\"directed\" must be true or false, got None"),
+        ({"edges": [[0, 1.7]]}, "edge endpoints must be integers, got 1.7"),
+        ({"edges": [[0, 1], [1.0, 0]]}, "edge endpoints must be integers, got 1.0"),
+        ({"edges": [[True, 0]]}, "edge endpoints must be integers, got True"),
+    ]:
+        p.write_text(good + "\n" + json.dumps({"nodes": nodes} | fields) + "\nnot json\n")
+        with pytest.raises(ValueError) as info:
+            read_graphs(p)
+        assert str(info.value) == f"{p}: line 2: {message}"
 
 
 @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1))

@@ -202,12 +202,19 @@ INEXACT_MEAN = [np.tile([7.62201191e-264, -1.0], (5, 1))]
 SUBNORMAL = [np.array([[1.0, 5e-324], [1.0, 1e-323], [1.0, 0.0]])]
 # distinct tokens whose mean-squared keys underflow: that scheme fails
 UNDERFLOW = [np.array([[1e-200, 0.0], [2e-200, 0.0], [0.5, 0.5]])]
+# every set size from 1 to 40, each stacked apart; and sets of one size,
+# stacked by one reshape
+_RNG = np.random.default_rng(19)
+RAGGED = [np.round(_RNG.normal(size=(m, 2)), 1) for m in range(40, 0, -1)]
+ONE_SIZE = [_RNG.normal(size=(6, 3)) for _ in range(9)]
 
 
 @given(corpora())
 @example(INEXACT_MEAN)
 @example(SUBNORMAL)
 @example(UNDERFLOW)
+@example(RAGGED)
+@example(ONE_SIZE)
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_commands_match_per_set_reference(tmp_path, sets):
     infile, model = _write_inputs(tmp_path, sets)
@@ -284,6 +291,8 @@ def test_svd_keeps_reference_bytes_beside_extreme_components(values):
 @example(INEXACT_MEAN)
 @example(SUBNORMAL)
 @example(UNDERFLOW)
+@example(RAGGED)
+@example(ONE_SIZE)
 @settings(max_examples=60, deadline=None)
 def test_per_set_functions_are_the_one_set_case(sets):
     values = np.concatenate(sets)

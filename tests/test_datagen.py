@@ -52,6 +52,19 @@ def test_delaunay_all_collinear():
     pts = np.array([[float(i), 2.0 * i] for i in range(5)])
     with pytest.raises(DegenerateInputError):
         delaunay(pts)
+    # the collinear triangles holding the last point inserted were once
+    # returned: these four points gave [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    with pytest.raises(DegenerateInputError, match="all points collinear"):
+        delaunay([[0.91, 0.5], [0.83, 0.5], [0.86, 0.5], [0.11, 0.5]])
+    rng = np.random.default_rng(23)
+    returned = 0
+    for k in range(300):
+        pts = rng.uniform(size=(int(rng.integers(3, 40)), 2))
+        pts[:, k % 2] = 0.5  # a horizontal or a vertical line
+        with pytest.raises(DegenerateInputError, match="all points collinear"):
+            delaunay(pts)
+        returned += not isinstance(_outcome(_reference_delaunay, pts), str)
+    assert returned > 100  # the former loop returned triangles for these (222)
 
 
 def test_delaunay_duplicates_warn_and_drop():

@@ -1,6 +1,7 @@
 """The comparison and report logic of tools/identity_check.py, on fabricated
-digests, and its smd and delaunay scripts; no git and no tokensort command
-runs here."""
+digests, and its smd, delaunay and analysis scripts; no git and no tokensort
+command runs here."""
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tokensort.analysis import LatentGaussianProfile, rank_probability_matrix, swap_probability, tridiagonal_P
 from tokensort.core import write_graphs
 from tokensort.datagen import DegenerateInputError, PlanarGenConfig, delaunay, generate_planar_graph
 from tokensort.metrics import smd
@@ -118,3 +120,37 @@ def test_delaunay_script_prints_each_set_in_four_forms():
     assert lines[0] == str(delaunay(pts))
     # the error path prints too: sets put on one line can fail as collinear
     assert repr(DegenerateInputError("all points collinear")) in lines[3::4]
+
+
+def test_analysis_script_digests_three_kernels_on_degenerate_profiles():
+    tool = _load_tool()
+    src = str(Path(tool.ROOT) / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", tool.ANALYSIS_SCRIPT, "3"], env=env,
+                          capture_output=True, text=True, check=True)
+    names = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert names == ["rank", "tridiagonal", "swap"]
+    # the same draws in process give the same three digests, and reach zero
+    # variances and equal means
+    rng = np.random.default_rng(np.random.SeedSequence([3, 13]))
+    rank, tri, swap = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    zero_pairs = equal_means = 0
+    for k in range(tool.ANALYSIS_PROFILES):
+        m = int(rng.integers(1, 14))
+        mu, var = rng.normal(size=m), rng.uniform(0.0, 0.5, size=m)
+        if k % 3 == 1:
+            var[rng.integers(0, m, size=m // 2 + 1)] = 0.0
+            mu = np.round(mu)
+        elif k % 3 == 2:
+            var[:] = 0.0
+            mu = np.round(mu * 2) / 2
+        rank.update(rank_probability_matrix(LatentGaussianProfile(mu, var)).tobytes())
+        tri.update(tridiagonal_P(LatentGaussianProfile(np.sort(mu), var)).tobytes())
+        p = swap_probability(mu[:, None], var[:, None], mu[None, :], var[None, :])
+        swap.update("".join(x.hex() for x in p.ravel().tolist()).encode())
+        zero = (var[:, None] + var[None, :] == 0) & ~np.eye(m, dtype=bool)
+        zero_pairs += int(zero.sum())
+        equal_means += int((zero & (mu[:, None] == mu[None, :])).sum())
+    assert proc.stdout.split() == ["rank", rank.hexdigest(), "tridiagonal", tri.hexdigest(),
+                                   "swap", swap.hexdigest()]
+    assert zero_pairs > 1000 and equal_means > 100

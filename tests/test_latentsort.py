@@ -171,12 +171,13 @@ def test_stacked_latents_equal_per_set_passes(hidden):
             assert h.shape == (5, size)
             for b in range(5):
                 assert h[b].tobytes() == encode_batch(m, stacked[b]).tobytes(), (n, size, b)
-        sizes = np.concatenate([np.arange(1, 41), rng.integers(1, 41, size=40)])
-        values = rng.normal(size=(int(sizes.sum()), n))
-        corpus = latent_sort_corpus(m, values, sizes)
-        for k, start in enumerate((np.cumsum(sizes) - sizes).tolist()):
-            one = encode_batch(m, values[start : start + sizes[k]])
-            assert corpus.sequence(k).raw_keys.tobytes() == np.sort(one, kind="stable").tobytes()
+        # a ragged corpus of sizes 1-40, and a corpus of one size
+        for sizes in (np.concatenate([np.arange(1, 41), rng.integers(1, 41, size=40)]), np.full(9, 7)):
+            values = rng.normal(size=(int(sizes.sum()), n))
+            corpus = latent_sort_corpus(m, values, sizes)
+            for k, start in enumerate((np.cumsum(sizes) - sizes).tolist()):
+                one = encode_batch(m, values[start : start + sizes[k]])
+                assert corpus.sequence(k).raw_keys.tobytes() == np.sort(one, kind="stable").tobytes()
 
 
 def test_stacked_forward_keeps_activation_shapes():

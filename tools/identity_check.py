@@ -14,8 +14,11 @@ and by the side's model, and a small `tsp-bench`. It also runs `metrics.smd` of
 the side's tree on the base side's `gen-planar` graphs: each consecutive pair
 and each graph with itself, every value written with `float.hex`; and
 `datagen.delaunay` of the side's tree on seeded point sets, collinear triples
-and duplicate points among them. It compares the sha256 of every output,
-prints one line per output and exits 1 unless every digest matches.
+and duplicate points among them; and the analysis kernels
+`rank_probability_matrix`, `tridiagonal_P` and `swap_probability` of the
+side's tree on seeded latent profiles, zero variances and equal means among
+them. It compares the sha256 of every output, prints one line per output and
+exits 1 unless every digest matches.
 """
 from __future__ import annotations
 
@@ -76,6 +79,38 @@ for _ in range({DELAUNAY_SETS}):
         except DegenerateInputError as exc:
             print(repr(exc))
 """
+# argv[1]: a seed; prints the sha256 of what three analysis kernels return on
+# ANALYSIS_PROFILES seeded latent profiles of 1-13 elements, one line a kernel:
+# rank_probability_matrix of each profile, tridiagonal_P of it with its means
+# sorted, and swap_probability of every ordered pair, as float.hex. Every
+# third profile has about half its variances zero and its means rounded to
+# integers, and every third all its variances zero and its means rounded to
+# halves, so that the 1 / 0 / 0.5 rule and equal means are reached
+ANALYSIS_PROFILES = 3000
+ANALYSIS_SCRIPT = f"""
+import hashlib, sys
+import numpy as np
+from tokensort.analysis import LatentGaussianProfile, rank_probability_matrix, swap_probability, tridiagonal_P
+rng = np.random.default_rng(np.random.SeedSequence([int(sys.argv[1]), 13]))
+rank, tri, swap = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+for k in range({ANALYSIS_PROFILES}):
+    m = int(rng.integers(1, 14))
+    mu, var = rng.normal(size=m), rng.uniform(0.0, 0.5, size=m)
+    if k % 3 == 1:
+        var[rng.integers(0, m, size=m // 2 + 1)] = 0.0
+        mu = np.round(mu)
+    elif k % 3 == 2:
+        var[:] = 0.0
+        mu = np.round(mu * 2) / 2
+    rank.update(rank_probability_matrix(LatentGaussianProfile(mu, var)).tobytes())
+    tri.update(tridiagonal_P(LatentGaussianProfile(np.sort(mu), var)).tobytes())
+    for i in range(m):
+        for j in range(m):
+            swap.update(float(swap_probability(mu[i], var[i], mu[j], var[j])).hex().encode())
+print("rank", rank.hexdigest())
+print("tridiagonal", tri.hexdigest())
+print("swap", swap.hexdigest())
+"""
 
 
 def _bench_pairs():
@@ -129,9 +164,9 @@ def _sha256(path: Path) -> str:
 
 def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
              graphs: Path) -> dict[str, str]:
-    """Run every command, then SMD_SCRIPT on `graphs` and DELAUNAY_SCRIPT at
-    `seed`, with the tokensort of `tree`; output name -> sha256, or
-    "exit <code>" for one that failed."""
+    """Run every command, then SMD_SCRIPT on `graphs` and DELAUNAY_SCRIPT and
+    ANALYSIS_SCRIPT at `seed`, with the tokensort of `tree`; output name ->
+    sha256, or "exit <code>" for one that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
@@ -145,7 +180,9 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
         digests[name] = _sha256(target)
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
-    for name, script, arg in (("smd", SMD_SCRIPT, graphs), ("delaunay", DELAUNAY_SCRIPT, seed)):
+    scripts = (("smd", SMD_SCRIPT, graphs), ("delaunay", DELAUNAY_SCRIPT, seed),
+               ("analysis", ANALYSIS_SCRIPT, seed))
+    for name, script, arg in scripts:
         proc = subprocess.run([sys.executable, "-c", script, str(arg)], cwd=out, env=env,
                               capture_output=True)
         digests[name] = (hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0
