@@ -26,6 +26,8 @@ def validate_probability_matrix(p: np.ndarray) -> None:
     p = np.asarray(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"P must be square, got shape {p.shape}")
+    if p.size == 0:
+        return  # no rows to check
     if not np.isfinite(p).all():
         raise ValueError("P entries must be finite")
     if p.min() < -ROW_SUM_TOL or p.max() > 1 + ROW_SUM_TOL:
@@ -193,7 +195,7 @@ def rank_probability_matrix(profile: LatentGaussianProfile) -> np.ndarray:
     c = swap_probability(mu[None, :], var[None, :], mu[:, None], var[:, None])
     np.fill_diagonal(c, 0.0)
     p = np.zeros((m, m))
-    p[0] = 1.0
+    p[:1] = 1.0  # an empty profile has no rank 0
     for j in range(m):
         q = c[:, j]
         p[1:] = p[1:] * (1.0 - q) + p[:-1] * q

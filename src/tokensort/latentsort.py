@@ -73,7 +73,6 @@ class MlpBuffers:
 
 @dataclass
 class Mlp:
-    layer_sizes: list[int]
     weights: list[np.ndarray]  # weights[l]: (in, out)
     biases: list[np.ndarray]  # biases[l]: (out,)
 
@@ -85,18 +84,12 @@ class Mlp:
             bound = 1.0 / math.sqrt(n_in)
             weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
             biases.append(rng.uniform(-bound, bound, size=n_out))
-        return cls(list(layer_sizes), weights, biases)
+        return cls(weights, biases)
 
-    def validate(self) -> None:
-        n_layers = len(self.layer_sizes) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ValueError("weight/bias count does not match layer_sizes")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            expect = (self.layer_sizes[l], self.layer_sizes[l + 1])
-            if w.shape != expect or b.shape != (expect[1],):
-                raise ValueError(f"layer {l}: shapes {w.shape}/{b.shape} disagree with layer_sizes {expect}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {l}: non-finite parameters")
+    @property
+    def layer_sizes(self) -> list[int]:
+        """Widths from input to output, read off the weight shapes."""
+        return [w.shape[0] for w in self.weights] + [self.weights[-1].shape[1]]
 
     def forward(self, x: np.ndarray, buffers: MlpBuffers | None = None):
         """Batched forward pass. x: (B, in). Returns output (B, out) and the
@@ -147,7 +140,7 @@ class Mlp:
             np.sum(delta, axis=0, out=gb[l])
             if l == 0 and not input_grad:
                 return None, gw, gb
-            delta = _matmul(delta, self.weights[l].T, _matrix(scratch[l % 2], rows, self.layer_sizes[l]))
+            delta = _matmul(delta, self.weights[l].T, _matrix(scratch[l % 2], rows, self.weights[l].shape[0]))
         return delta, gw, gb
 
     def params(self) -> list[np.ndarray]:
@@ -158,17 +151,11 @@ class Mlp:
 class LatentSortModel:
     encoder: Mlp  # N -> 1
     decoder: Mlp  # 1 -> N
-    token_dim: int
     meta: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        self.encoder.validate()
-        self.decoder.validate()
-        n = self.token_dim
-        if self.encoder.layer_sizes[0] != n or self.encoder.layer_sizes[-1] != 1:
-            raise ValueError("encoder must map token_dim -> 1")
-        if self.decoder.layer_sizes[0] != 1 or self.decoder.layer_sizes[-1] != n:
-            raise ValueError("decoder must map 1 -> token_dim")
+    @property
+    def token_dim(self) -> int:
+        return self.encoder.weights[0].shape[0]
 
     def params(self) -> list[np.ndarray]:
         return self.encoder.params() + self.decoder.params()
@@ -182,7 +169,7 @@ def init_model(n: int, hidden_sizes=(64, 64), seed: int = 0) -> LatentSortModel:
     hidden = list(hidden_sizes)
     encoder = Mlp.init([n] + hidden + [1], rng)
     decoder = Mlp.init([1] + hidden + [n], rng)
-    return LatentSortModel(encoder, decoder, n, meta={"seed": seed, "epochs": 0})
+    return LatentSortModel(encoder, decoder, meta={"seed": seed, "epochs": 0})
 
 
 def encode_batch(m: LatentSortModel, x: np.ndarray) -> np.ndarray:
@@ -541,21 +528,30 @@ def _mlp_to_obj(mlp: Mlp) -> dict:
     }
 
 
-def _mlp_from_obj(obj: dict) -> Mlp:
-    sizes = [int(s) for s in obj["layer_sizes"]]
+def _is_positive_int(value) -> bool:
+    return type(value) is int and value > 0  # a JSON integer; not a float, string or bool
+
+
+def _mlp_from_obj(obj: dict, n_in: int, n_out: int) -> Mlp:
+    """The stored MLP from n_in to n_out: the one check of a stored MLP. A
+    weight array, flat or nested, holds rows * cols values; all are finite."""
+    sizes = obj["layer_sizes"]
+    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_positive_int, sizes))
+            and sizes[0] == n_in and sizes[-1] == n_out):
+        raise ValueError(f"layer_sizes must be positive integers from {n_in} to {n_out}, got {sizes!r}")
+    if not len(obj["weights"]) == len(obj["biases"]) == len(sizes) - 1:
+        raise ValueError(f"{len(sizes) - 1} layers need one weight and one bias array each")
     weights, biases = [], []
-    for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        flat = np.asarray(obj["weights"][l], dtype=np.float64)
-        if flat.size != n_in * n_out:
-            raise ValueError(f"layer {l}: weight count {flat.size} disagrees with layer_sizes")
-        weights.append(flat.reshape(n_in, n_out))
+    for l, (rows, cols) in enumerate(zip(sizes[:-1], sizes[1:])):
+        w = np.asarray(obj["weights"][l], dtype=np.float64)
         b = np.asarray(obj["biases"][l], dtype=np.float64)
-        if b.size != n_out:
-            raise ValueError(f"layer {l}: bias count {b.size} disagrees with layer_sizes")
+        if w.size != rows * cols or b.shape != (cols,):
+            raise ValueError(f"layer {l}: shapes {w.shape}/{b.shape} disagree with layer_sizes {(rows, cols)}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {l}: non-finite parameters")
+        weights.append(w.reshape(rows, cols))
         biases.append(b)
-    mlp = Mlp(sizes, weights, biases)
-    mlp.validate()
-    return mlp
+    return Mlp(weights, biases)
 
 
 def save_model(m: LatentSortModel, path) -> None:
@@ -580,13 +576,13 @@ def load_model(path) -> LatentSortModel:
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
         if obj.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {obj.get('version')!r}")
-        model = LatentSortModel(
-            _mlp_from_obj(obj["encoder"]),
-            _mlp_from_obj(obj["decoder"]),
-            int(obj["token_dim"]),
-            meta=obj.get("meta", {}),
-        )
-        model.validate()
+        n = obj["token_dim"]
+        if not _is_positive_int(n):
+            raise ValueError(f"token_dim must be a positive integer, got {n!r}")
+        meta = obj.get("meta", {})
+        if not isinstance(meta, dict):
+            raise ValueError(f"meta must be a JSON object, got {type(meta).__name__}")
+        model = LatentSortModel(_mlp_from_obj(obj["encoder"], n, 1), _mlp_from_obj(obj["decoder"], 1, n), meta)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a valid model file: {type(exc).__name__}: {exc}") from exc
     return model

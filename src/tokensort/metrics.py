@@ -148,14 +148,12 @@ def set_prf(x: TokenSet, y: TokenSet, match_tol: float = 0.0) -> dict[str, float
     if not match_tol >= 0:  # also rejects NaN
         raise ValueError(f"match_tol must be >= 0, got {match_tol}")
     d = np.sqrt(_pairwise_sq(x.values, y.values))
-    candidates = sorted(
-        ((d[i, j], i, j) for i in range(x.size) for j in range(y.size) if d[i, j] <= match_tol),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
+    xi, yj = np.nonzero(d <= match_tol)  # row-major, so a stable sort by distance ties by (x, y) index
+    by_distance = np.argsort(d[xi, yj], kind="stable")
     used_x: set[int] = set()
     used_y: set[int] = set()
     tp = 0
-    for _, i, j in candidates:
+    for i, j in zip(xi[by_distance].tolist(), yj[by_distance].tolist()):
         if i not in used_x and j not in used_y:
             used_x.add(i)
             used_y.add(j)

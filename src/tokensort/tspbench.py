@@ -50,6 +50,8 @@ def percentile_longer(points: np.ndarray, order: np.ndarray | list[int]) -> floa
     edge from one distance matrix, exactly as path_length sums it.
     """
     m = len(points)
+    if m < 1:
+        raise ValueError("percentile_longer needs at least one point")
     if m > MAX_ENUM_POINTS:
         raise ValueError(f"refusing to enumerate paths for {m} > {MAX_ENUM_POINTS} points")
     if sorted(order) != list(range(m)):

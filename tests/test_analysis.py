@@ -311,7 +311,10 @@ def test_tridiagonal_matches_loop_reference():
     for prof in _near_degenerate_profiles(31, 800):
         prof = LatentGaussianProfile(np.sort(prof.means), prof.variances)
         assert tridiagonal_P(prof).tobytes() == _reference_tridiagonal_P(prof).tobytes()
-    assert tridiagonal_P(LatentGaussianProfile(np.zeros(0), np.zeros(0))).shape == (0, 0)
+    empty = LatentGaussianProfile(np.zeros(0), np.zeros(0))
+    assert tridiagonal_P(empty).shape == (0, 0)
+    assert rank_probability_matrix(empty).shape == (0, 0)
+    validate_probability_matrix(np.zeros((0, 0)))  # no rows to check
 
 
 def test_swap_probability_broadcasts_as_the_scalar_reference():

@@ -182,8 +182,36 @@ def test_ambiguity_grid_rejects_empty_grid(res, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ['{"version": 1, "token_dim": 2}', "[1, 2]", "{", '"model"'],
-                         ids=["no-layers", "list", "truncated", "string"])
+# a 2-D model file in which every value is valid: 2 -> 2 -> 1 and 1 -> 2
+_ENCODER = {"layer_sizes": [2, 2, 1], "weights": [[1.0, 0.0, 0.0, 1.0], [1.0, -1.0]], "biases": [[0.0, 0.0], [0.5]]}
+_DECODER = {"layer_sizes": [1, 2], "weights": [[1.0, -1.0]], "biases": [[0.0, 0.0]]}
+
+
+def _model_json(encoder=None, **top) -> str:
+    """The model file above with the given encoder and top-level fields replaced."""
+    obj = {"version": 1, "token_dim": 2, "encoder": {**_ENCODER, **(encoder or {})}, "decoder": _DECODER, "meta": {}}
+    return json.dumps({**obj, **top})
+
+
+def test_hand_written_model_file_sorts(sets_file, tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(_model_json())
+    out = tmp_path / "out.jsonl"
+    assert main(["sort", "--scheme", "latent", "--model", str(model), "--in", sets_file, "--out", str(out)]) == 0
+    assert len(_read_sequences(out)) == 4
+
+
+@pytest.mark.parametrize("content", [
+    '{"version": 1, "token_dim": 2}', "[1, 2]", "{", '"model"',
+    _model_json(encoder={"weights": _ENCODER["weights"] + [[1.0]]}),
+    _model_json(encoder={"biases": _ENCODER["biases"] + [[1.0]]}),
+    _model_json(token_dim=2.7),
+    _model_json(encoder={"layer_sizes": [2, "2", 1]}),
+    # every token gets the latent 0.5, a model init_model refuses to build
+    _model_json(encoder={"layer_sizes": [2, 0, 1], "weights": [[], []], "biases": [[], [0.5]]}),
+    _model_json(meta=[1]),
+], ids=["no-layers", "list", "truncated", "string", "extra-weights", "extra-biases", "float-token-dim",
+        "string-size", "zero-width", "meta-list"])
 def test_malformed_model_file(content, sets_file, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(content)

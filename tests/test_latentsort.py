@@ -235,13 +235,24 @@ def test_train_history_and_convergence():
 
 
 def test_model_roundtrip(tmp_path):
-    m = init_model(3, hidden_sizes=(7, 5), seed=2)
+    # save -> load -> save keeps the bytes, and the sizes read off the loaded
+    # weight shapes are the ones the model was built with
+    rng = np.random.default_rng(23)
     p = tmp_path / "m.json"
-    save_model(m, p)
-    back = load_model(p)
-    for a, b in zip(m.params(), back.params()):
-        assert np.array_equal(a, b)
-    assert back.token_dim == 3
+    for seed in range(40):
+        n = int(rng.integers(1, 5))
+        hidden = [int(w) for w in rng.integers(1, 6, size=rng.integers(1, 4))]
+        m = init_model(n, hidden_sizes=hidden, seed=seed)
+        save_model(m, p)
+        saved = p.read_bytes()
+        back = load_model(p)
+        for a, b in zip(m.params(), back.params(), strict=True):
+            assert np.array_equal(a, b)
+        assert back.token_dim == n
+        assert back.encoder.layer_sizes == [n] + hidden + [1]
+        assert back.decoder.layer_sizes == [1] + hidden + [n]
+        save_model(back, p)
+        assert p.read_bytes() == saved
 
 
 def test_model_file_is_one_json_dumps_line(tmp_path):

@@ -12,6 +12,7 @@ from tokensort.metrics import (
     SINKHORN_TOL,
     SinkhornConfig,
     SinkhornError,
+    _pairwise_sq,
     ehd,
     emd,
     sample_edge_points,
@@ -91,6 +92,31 @@ def test_set_prf_tolerance():
     y = _ts([0.05, 0.0])
     assert set_prf(x, y)["f1"] == 0.0
     assert set_prf(x, y, match_tol=0.1)["f1"] == 1.0
+
+
+def _reference_set_prf(x, y, match_tol):
+    """Greedy matching over candidates sorted as (distance, x index, y index) tuples."""
+    d = np.sqrt(_pairwise_sq(x.values, y.values))
+    candidates = sorted((d[i, j], i, j) for i in range(x.size) for j in range(y.size) if d[i, j] <= match_tol)
+    used_x, used_y = set(), set()
+    for _, i, j in candidates:
+        if i not in used_x and j not in used_y:
+            used_x.add(i)
+            used_y.add(j)
+    tp = len(used_x)
+    precision, recall = tp / x.size, tp / y.size
+    return {"precision": precision, "recall": recall, "f1": 2 * precision * recall / (precision + recall) if tp else 0.0}
+
+
+def test_set_prf_matches_sorted_tuple_reference():
+    # quarter-snapped tokens tie on distance often, so the (x, y) index
+    # tie-break decides which pairs the greedy matching takes
+    rng = np.random.default_rng(19)
+    for k in range(2000):
+        x, y = (TokenSet(np.round(rng.uniform(size=(int(rng.integers(1, 15)), 2)) * 4) / 4) for _ in range(2))
+        tol = (0.0, 0.1, 0.26, 0.5, math.inf)[k % 5]
+        got, want = set_prf(x, y, tol), _reference_set_prf(x, y, tol)
+        assert got == want and [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 def _graphs():

@@ -3,6 +3,7 @@ These tests fail when a name it traces or reads is deleted or renamed, instead
 of leaving that to the benchmark run."""
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from dataclasses import replace
@@ -47,7 +48,7 @@ def test_checked_attributes_exist():
     assert sinkhorn.epsilon > 0
 
 
-def test_config_fields_and_call_shapes():
+def test_config_fields_and_call_shapes(tmp_path):
     # the configs perfbench/workloads.py builds and the calls it and
     # perfbench/checks.py make, so that cutting a setting cannot break them
     cfg = latentsort.TrainConfig(epochs=1, lgp_coefficient=0.01, seed=2)
@@ -62,3 +63,15 @@ def test_config_fields_and_call_shapes():
     batch = [np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([[0.5, 0.5]])]
     recon, lgp, grads = latentsort.batch_losses_and_grads(model, batch, cfg)
     assert recon >= 0 and lgp >= 0 and len(grads) == len(model.params())
+    # checks.py reads the encoder's arrays from the model, and from the model
+    # file its flat weights, reshaped by layer_sizes, and its biases
+    enc = model.encoder
+    assert all(p is a for p, a in zip(model.params(), enc.weights + enc.biases))
+    latentsort.save_model(model, tmp_path / "model.json")
+    stored = json.loads((tmp_path / "model.json").read_text())["encoder"]
+    sizes = stored["layer_sizes"]
+    assert sizes == [2, 3, 1]
+    for w, b, flat, stored_b, rows, cols in zip(enc.weights, enc.biases, stored["weights"], stored["biases"],
+                                                sizes[:-1], sizes[1:], strict=True):
+        assert np.array_equal(np.asarray(flat).reshape(rows, cols), w)
+        assert np.array_equal(np.asarray(stored_b), b)

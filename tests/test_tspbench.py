@@ -93,6 +93,8 @@ def test_percentile_rejects_large_and_bad_order():
         percentile_longer(pts, list(range(MAX_ENUM_POINTS + 1)))
     with pytest.raises(ValueError):
         percentile_longer(np.zeros((3, 2)), [0, 1, 1])
+    with pytest.raises(ValueError, match="at least one point"):
+        percentile_longer(np.zeros((0, 2)), [])
 
 
 def _oracle_percentile(points, order):
