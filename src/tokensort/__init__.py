@@ -15,7 +15,6 @@ from .core import (
     edge_token,
     read_graphs,
     read_token_sets,
-    swap_endpoints,
     tokenize_edges,
     write_graphs,
     write_sequences,
@@ -48,6 +47,6 @@ from .analysis import (
     tridiagonal_P,
     uniform_ambiguity_P,
 )
-from .metrics import ehd, emd, set_prf, size_diff, smd, undirected_loss
+from .metrics import ehd, emd, set_prf, size_diff, smd
 from .datagen import PlanarGenConfig, delaunay, generate_planar_graph
 from .tspbench import BenchConfig, path_length, percentile_longer, run_tsp_benchmark

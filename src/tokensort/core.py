@@ -182,6 +182,8 @@ def by_set_size(fn, values: np.ndarray, sizes) -> np.ndarray:
 class Graph:
     """Nodes with feature vectors plus directed or undirected edges.
 
+    `directed` must be a bool, every edge a pair of node indices, and every
+    index a Python or numpy int (not a bool) within 0..n_nodes - 1.
     Undirected edges are stored once, endpoints in canonical order: the
     endpoint whose feature vector compares lexicographically smaller first,
     and on equal features the smaller node index first.
@@ -192,13 +194,19 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self):
+        if type(self.directed) is not bool:
+            raise ValueError(f'"directed" must be true or false, got {self.directed!r}')
+        edges = [(u, v) for u, v in self.edges]
+        bad = [x for e in edges for x in e if type(x) is not int and not isinstance(x, np.integer)]
+        if bad:
+            raise ValueError(f"edge endpoints must be integers, got {bad[0]!r}")
         feats = _as_matrix(self.node_features, "Graph.node_features")
         object.__setattr__(self, "node_features", feats)
         n = feats.shape[0]
         canon: list[tuple[int, int]] = []
         seen: set[tuple[int, int]] = set()
-        for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+        for u, v in edges:
+            u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a node outside 0..{n - 1}")
             # tuples compare lexicographically: features first, then the index
@@ -235,19 +243,6 @@ def tokenize_edges(g: Graph) -> TokenSet:
         raise ValueError("empty graph tokenization")
     rows = np.stack([edge_token(g, u, v) for u, v in g.edges])
     return TokenSet(rows)
-
-
-def swap_endpoints(seq: SortedSequence) -> SortedSequence:
-    """Exchange the first and second halves of every row; order unchanged.
-
-    Involution: applying twice returns the original sequence.
-    """
-    n = seq.dim
-    if n % 2 != 0:
-        raise ValueError(f"swap_endpoints requires even token dimension, got {n}")
-    half = n // 2
-    swapped = np.concatenate([seq.rows[:, half:], seq.rows[:, :half]], axis=1)
-    return SortedSequence(swapped, keys=seq.keys, raw_keys=seq.raw_keys, order=seq.order)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +387,7 @@ def write_graphs(path, graphs: Iterable[Graph]) -> None:
 
 
 def _graph(obj) -> Graph:
-    directed = obj.get("directed", False)
-    if type(directed) is not bool:
-        raise ValueError(f'"directed" must be true or false, got {directed!r}')
-    edges = [(u, v) for u, v in obj["edges"]]
-    bad = [x for e in edges for x in e if type(x) is not int]
-    if bad:
-        raise ValueError(f"edge endpoints must be integers, got {bad[0]!r}")
-    return Graph(np.asarray(obj["nodes"], dtype=np.float64), tuple(edges), directed=directed)
+    return Graph(obj["nodes"], obj["edges"], directed=obj.get("directed", False))
 
 
 def read_graphs(path) -> list[Graph]:

@@ -58,12 +58,17 @@ def delaunay(points) -> list[tuple[int, int, int]]:
     """Bowyer-Watson incremental Delaunay triangulation in 2-D.
 
     Returns triangles as sorted index triples into the input points.
-    Raises on fewer than 3 distinct points or all-collinear input; exact
-    duplicates are dropped with a warning (indices refer to the originals).
+    Raises ValueError on a NaN or infinite coordinate, and
+    DegenerateInputError on fewer than 3 distinct points or all-collinear
+    input; exact duplicates are dropped with a warning (indices refer to the
+    originals).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
+    non_finite = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(non_finite):
+        raise ValueError(f"non-finite points at indices {non_finite.tolist()}")
     keep: list[int] = []
     seen: set[bytes] = set()
     for i, p in enumerate(pts):

@@ -534,7 +534,8 @@ def _is_positive_int(value) -> bool:
 
 def _mlp_from_obj(obj: dict, n_in: int, n_out: int) -> Mlp:
     """The stored MLP from n_in to n_out: the one check of a stored MLP. A
-    weight array, flat or nested, holds rows * cols values; all are finite."""
+    weight array is flat (rows * cols,) or nested (rows, cols), a bias array
+    is (cols,), and every value is a finite JSON number, not a bool."""
     sizes = obj["layer_sizes"]
     if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_positive_int, sizes))
             and sizes[0] == n_in and sizes[-1] == n_out):
@@ -543,10 +544,14 @@ def _mlp_from_obj(obj: dict, n_in: int, n_out: int) -> Mlp:
         raise ValueError(f"{len(sizes) - 1} layers need one weight and one bias array each")
     weights, biases = [], []
     for l, (rows, cols) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = np.asarray(obj["weights"][l], dtype=np.float64)
-        b = np.asarray(obj["biases"][l], dtype=np.float64)
-        if w.size != rows * cols or b.shape != (cols,):
+        w_obj, b_obj = obj["weights"][l], obj["biases"][l]
+        w = np.asarray(w_obj, dtype=np.float64)
+        b = np.asarray(b_obj, dtype=np.float64)
+        if w.shape not in ((rows * cols,), (rows, cols)) or b.shape != (cols,):
             raise ValueError(f"layer {l}: shapes {w.shape}/{b.shape} disagree with layer_sizes {(rows, cols)}")
+        values = b_obj + (w_obj if w.ndim == 1 else [x for row in w_obj for x in row])
+        if not all(type(x) in (int, float) for x in values):  # numpy reads true and "1" as numbers
+            raise ValueError(f"layer {l}: parameters must be JSON numbers")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"layer {l}: non-finite parameters")
         weights.append(w.reshape(rows, cols))
@@ -574,8 +579,9 @@ def load_model(path) -> LatentSortModel:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-        if obj.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {obj.get('version')!r}")
+        version = obj.get("version")
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:  # true == 1, so check the type
+            raise ValueError(f"unsupported model format version {version!r}")
         n = obj["token_dim"]
         if not _is_positive_int(n):
             raise ValueError(f"token_dim must be a positive integer, got {n!r}")

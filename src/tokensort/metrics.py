@@ -1,7 +1,6 @@
 """Set and graph similarity metrics: directed mean nearest-neighbor distance,
 symmetric Hausdorff distance, Sinkhorn-based point-cloud transport distance
-between graphs, set precision/recall/F1, undirected sequence loss, and size
-difference.
+between graphs, set precision/recall/F1, and size difference.
 """
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, SortedSequence, TokenSet, swap_endpoints
+from .core import Graph, TokenSet
 
 
 class SinkhornError(RuntimeError):
@@ -162,21 +161,6 @@ def set_prf(x: TokenSet, y: TokenSet, match_tol: float = 0.0) -> dict[str, float
     recall = tp / y.size
     f1 = 2 * precision * recall / (precision + recall) if tp else 0.0
     return {"precision": precision, "recall": recall, "f1": f1}
-
-
-def _elastic_loss(pred: np.ndarray, gt: np.ndarray) -> float:
-    diff = pred - gt
-    return float(np.mean(np.abs(diff)) + np.mean(diff * diff))
-
-
-def undirected_loss(y_pred: SortedSequence, y_gt: SortedSequence) -> float:
-    """Elastic loss (mean absolute plus mean squared error) against the
-    target plus the same loss against the target with edge endpoints
-    swapped, so both orientations of an undirected edge count."""
-    if y_pred.rows.shape != y_gt.rows.shape:
-        raise ValueError("shape mismatch")
-    swapped = swap_endpoints(y_gt)
-    return _elastic_loss(y_pred.rows, y_gt.rows) + _elastic_loss(y_pred.rows, swapped.rows)
 
 
 def size_diff(x: TokenSet, y: TokenSet) -> int:

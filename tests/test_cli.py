@@ -210,8 +210,15 @@ def test_hand_written_model_file_sorts(sets_file, tmp_path):
     # every token gets the latent 0.5, a model init_model refuses to build
     _model_json(encoder={"layer_sizes": [2, 0, 1], "weights": [[], []], "biases": [[], [0.5]]}),
     _model_json(meta=[1]),
+    _model_json(version=True),
+    _model_json(encoder={"weights": [[True, False, False, True], [1.0, -1.0]]}),
+    _model_json(encoder={"biases": [[False, False], [0.5]]}),
+    _model_json(encoder={"weights": [["1.0", "0.0", "0.0", "1.0"], [1.0, -1.0]]}),
+    # the four values of the 2 x 2 layer nested 4 x 1
+    _model_json(encoder={"weights": [[[1.0], [0.0], [0.0], [1.0]], [1.0, -1.0]]}),
 ], ids=["no-layers", "list", "truncated", "string", "extra-weights", "extra-biases", "float-token-dim",
-        "string-size", "zero-width", "meta-list"])
+        "string-size", "zero-width", "meta-list", "bool-version", "bool-weights", "bool-biases",
+        "string-weights", "misnested-weights"])
 def test_malformed_model_file(content, sets_file, tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(content)

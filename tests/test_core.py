@@ -16,7 +16,6 @@ from tokensort.core import (
     read_graphs,
     read_token_sets,
     set_ids,
-    swap_endpoints,
     tokenize_edges,
     write_graphs,
     write_sequences,
@@ -83,6 +82,21 @@ def test_graph_equal_features_one_edge_per_node_pair():
 def test_graph_bad_endpoint():
     with pytest.raises(ValueError):
         Graph(np.zeros((2, 2)), ((0, 5),))
+    # a float or bool endpoint, an edge that is not a pair, and a flag that is
+    # not a bool are refused rather than truncated, read as an index, cut
+    # short or taken as truthy
+    feats = np.zeros((3, 2))
+    for edges, directed, message in [
+        (((0, 1.7),), False, "edge endpoints must be integers, got 1.7"),
+        (((True, 1),), False, "edge endpoints must be integers, got True"),
+        (((0, 1, 2),), False, "too many values to unpack"),
+        (((0, 1),), "false", "\"directed\" must be true or false, got 'false'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Graph(feats, edges, directed=directed)
+    # numpy integers are indices too, stored as Python ints
+    g = Graph(feats, ((np.int64(2), np.int32(0)), (np.intp(1), 2)), directed=True)
+    assert g.edges == ((2, 0), (1, 2)) and all(type(x) is int for e in g.edges for x in e)
 
 
 def test_edge_token_concatenation():
@@ -98,19 +112,6 @@ def test_tokenize_edges_empty_graph():
     g = Graph(np.zeros((3, 2)), ())
     with pytest.raises(ValueError):
         tokenize_edges(g)
-
-
-def test_swap_endpoints_involution():
-    rows = np.arange(12, dtype=float).reshape(3, 4)
-    seq = SortedSequence(rows)
-    once = swap_endpoints(seq)
-    assert np.array_equal(once.rows[:, :2], rows[:, 2:])
-    assert np.array_equal(swap_endpoints(once).rows, rows)
-
-
-def test_swap_endpoints_odd_dim():
-    with pytest.raises(ValueError):
-        swap_endpoints(SortedSequence(np.zeros((2, 3))))
 
 
 def test_token_set_roundtrip(tmp_path):

@@ -46,6 +46,17 @@ def test_delaunay_square():
 def test_delaunay_too_few_points():
     with pytest.raises(DegenerateInputError):
         delaunay(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    # a NaN or infinite point is named, before deduplication and without the
+    # super-triangle's overflow warnings; it once read as "all points collinear"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for pts, bad in [
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 0.5]], [3]),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.inf, 0.5]], [3]),
+            ([[0.0, -np.inf], [1.0, 0.0], [0.0, 1.0], [0.0, -np.inf]], [0, 3]),
+        ]:
+            with pytest.raises(ValueError, match=rf"^non-finite points at indices \[{', '.join(map(str, bad))}\]$"):
+                delaunay(pts)
 
 
 def test_delaunay_all_collinear():

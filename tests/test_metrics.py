@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokensort.core import Graph, SortedSequence, TokenSet
+from tokensort.core import Graph, TokenSet
 from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 from tokensort.metrics import (
     SINKHORN_MAX_ITERS,
@@ -19,7 +19,6 @@ from tokensort.metrics import (
     set_prf,
     size_diff,
     smd,
-    undirected_loss,
 )
 
 
@@ -221,20 +220,6 @@ def test_sample_edge_points_no_edges():
     g = Graph(np.zeros((2, 2)), ())
     with pytest.raises(ValueError):
         sample_edge_points(g, 10)
-
-
-def test_undirected_loss_swap_invariance():
-    rng = np.random.default_rng(3)
-    gt = SortedSequence(rng.normal(size=(4, 4)))
-    swapped = SortedSequence(np.hstack([gt.rows[:, 2:], gt.rows[:, :2]]))
-    pred = SortedSequence(rng.normal(size=(4, 4)))
-    assert undirected_loss(pred, gt) == pytest.approx(undirected_loss(pred, swapped))
-
-
-def test_undirected_loss_zero_needs_both_orientations():
-    gt = SortedSequence(np.array([[0.0, 0.0, 1.0, 1.0]]))
-    loss_self = undirected_loss(gt, gt)
-    assert loss_self > 0  # the swapped target still differs from pred
 
 
 def test_size_diff_signed():

@@ -75,3 +75,11 @@ def test_config_fields_and_call_shapes(tmp_path):
                                                 sizes[:-1], sizes[1:], strict=True):
         assert np.array_equal(np.asarray(flat).reshape(rows, cols), w)
         assert np.array_equal(np.asarray(stored_b), b)
+    # planted.py wraps smd and sample_edge_points and calls the originals
+    # positionally, smd with cfg possibly None, and extends Graph.edges as a
+    # tuple of int pairs
+    g, h = (datagen.generate_planar_graph(datagen.PlanarGenConfig(seed=s)) for s in (4, 5))
+    assert metrics.smd(g, h, None) == metrics.smd(g, h)
+    samples = metrics.SinkhornConfig().samples
+    assert metrics.sample_edge_points(g, samples).shape == (samples, 2)
+    assert type(g.edges) is tuple and all(type(u) is int and type(v) is int for u, v in g.edges)
