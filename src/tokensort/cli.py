@@ -83,6 +83,13 @@ def _write_csv(path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
+def _require_non_negative(args, *names: str) -> None:
+    """UsageError naming the first of the options `names` given a negative value."""
+    for name in names:
+        if (value := getattr(args, name)) is not None and value < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+
+
 def cmd_sort(args) -> int:
     sort = _sort_fn(args.scheme, args.model)
     write_sequences(args.out, _sorted_corpora(sort, args.infile))
@@ -90,6 +97,7 @@ def cmd_sort(args) -> int:
 
 
 def cmd_train_latent(args) -> int:
+    _require_non_negative(args, "seed")
     sets = read_token_sets(args.infile)
     cfg = TrainConfig(epochs=args.epochs, lgp_coefficient=args.lgp, seed=args.seed)
     model, history = train(sets, cfg)
@@ -199,6 +207,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_tsp_bench(args) -> int:
+    _require_non_negative(args, "train_sets", "seed")
     cfg = BenchConfig(set_size=args.n, n_runs=args.runs,
                       use_lgp=args.lgp == "on", seed=args.seed)
     if args.epochs is not None:
@@ -213,9 +222,7 @@ def cmd_tsp_bench(args) -> int:
 
 
 def cmd_gen_planar(args) -> int:
-    for flag, value in (("--count", args.count), ("--seed", args.seed)):
-        if value < 0:
-            raise UsageError(f"{flag} must be >= 0, got {value}")
+    _require_non_negative(args, "count", "seed")
     write_graphs(args.out, (generate_planar_graph(PlanarGenConfig(seed=args.seed * 1000 + k))
                             for k in range(args.count)))
     return 0

@@ -321,12 +321,21 @@ def _parse_lines(path, build) -> list:
     return out
 
 
+def _json_numbers(rows, what: str) -> None:
+    """ValueError unless each component of rows is a JSON number; numpy reads true and "1.5" as numbers."""
+    bad = [x for row in rows for x in row if type(x) is not float and type(x) is not int]
+    if bad:
+        raise ValueError(f'"{what}" must hold only JSON numbers, got {bad[0]!r}')
+
+
 def _token_set(obj) -> TokenSet:
     tokens = obj["tokens"]
     widths = {len(t) for t in tokens}
     if len(widths) > 1:
         raise ValueError(f"ragged token dimensions {sorted(widths)}")
-    return TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+    ts = TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+    _json_numbers(tokens, "tokens")
+    return ts
 
 
 def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
@@ -341,9 +350,11 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
     "id" fields (None where absent).
 
     Each line is decoded and width-checked on its own, and each run becomes
-    one array with one finiteness check. When a line or a run fails, the file
-    is parsed again line by line (_parse_lines), which raises ValueError
-    naming the first failing line and why it fails.
+    one array with one finiteness check; a line that spells true or false, or
+    a run whose array is not numeric, is checked value by value for JSON
+    numbers. When a line or a run fails, the file is parsed again line by
+    line (_parse_lines), which raises ValueError naming the first failing
+    line and why it fails.
     """
     runs: list[tuple[int, list, list[int], list]] = []
     try:
@@ -356,6 +367,8 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
                 widths = set(map(len, tokens))
                 if type(tokens) is not list or len(widths) != 1 or 0 in widths:
                     raise ValueError("not a list of tokens of one width")
+                if "true" in line or "false" in line:  # a JSON boolean, or an id that names one
+                    _json_numbers(tokens, "tokens")
                 width = widths.pop()
                 if not runs or runs[-1][0] != width:
                     runs.append((width, [], [], []))
@@ -365,7 +378,10 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
                 ids.append(obj.get("id"))
         out = []
         for width, rows, sizes, ids in runs:
-            values = np.array(rows, dtype=np.float64)
+            values = np.array(rows)
+            if values.dtype.kind not in "iuf":  # strings; booleans alone; ints past 64 bits
+                _json_numbers(rows, "tokens")
+            values = values.astype(np.float64, copy=False)
             if values.shape != (len(rows), width) or not np.isfinite(values).all():
                 raise ValueError("not a finite matrix")
             out.append((values, sizes, ids))
@@ -387,7 +403,9 @@ def write_graphs(path, graphs: Iterable[Graph]) -> None:
 
 
 def _graph(obj) -> Graph:
-    return Graph(obj["nodes"], obj["edges"], directed=obj.get("directed", False))
+    g = Graph(obj["nodes"], obj["edges"], directed=obj.get("directed", False))
+    _json_numbers(obj["nodes"], "nodes")
+    return g
 
 
 def read_graphs(path) -> list[Graph]:

@@ -227,72 +227,46 @@ def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray):
     return float(np.sum(diff * diff) * scale), 2.0 * diff * scale
 
 
-def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, alpha: float, beta: float,
-                sizes: np.ndarray | None = None):
-    """LGP of B sets of M tokens each, already sorted by latent.
+def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, sizes, alpha: float, beta: float):
+    """LGP of consecutive token sets of the given sizes, each sorted by latent:
+    xs (T, N) tokens and hs (T,) latents, set after set.
 
-    xs: (B, M, N) tokens, hs: (B, M) latents, both in ascending-latent order.
-    Every consecutive pair is penalized. With `sizes`, set b is padded: only
-    its first sizes[b] tokens are real, and every pair that reaches past them
-    is masked to exactly +0.0 loss and gradient. Returns per-set losses (B,)
-    and gradients w.r.t. hs (B, M), equal bit for bit to evaluating
-    lgp_terms' formula pair by pair on each set's real tokens: distances are
-    the BLAS dot products a 1-D np.linalg.norm takes, and each set's terms
-    are added in pair order.
+    Every consecutive pair of rows is a term, and a pair that spans two sets
+    is exactly +0.0 in loss and gradient. Returns per-set losses (len(sizes),)
+    and the gradient w.r.t. hs (T,), bit for bit lgp_terms' formula evaluated
+    pair by pair on each set alone: distances are the BLAS dot products a 1-D
+    np.linalg.norm takes, and each set's terms are added in pair order.
     """
-    b, m = hs.shape
-    diff = xs[:, :-1] - xs[:, 1:]
-    d = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
-    h_left, h_right = hs[:, :-1], hs[:, 1:]
+    ids = set_ids(sizes)
+    diff = xs[:-1] - xs[1:]
+    d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    h_left, h_right = hs[:-1], hs[1:]
     denom = np.abs(h_left - h_right) + beta
     g = d / denom - alpha
     # d(2 g^2)/ds, chained through s = |h_i - h_{i+1}|
     dl_ds = -4.0 * g * d / (denom * denom)
     dl_dh = np.where(h_left >= h_right, dl_ds, -dl_ds)
-    if sizes is not None:
-        real = np.arange(m - 1) < (sizes - 1)[:, None]  # pair i is real when token i + 1 is
-        g = np.where(real, g, 0.0)
-        dl_dh = np.where(real, dl_dh, 0.0)
-    loss = np.zeros(b)
-    for term in (2.0 * g * g).T:  # ndarray.sum would switch to pairwise summation
-        loss += term
-    # a masked +0.0 is added to a position before any real term is taken
-    # from it, so each real gradient comes out as in the unpadded set
-    grad_h = np.zeros((b, m))
-    grad_h[:, :-1] += dl_dh
-    grad_h[:, 1:] -= dl_dh
-    return loss, grad_h
+    across = ids[1:] != ids[:-1]
+    g[across] = dl_dh[across] = 0.0
+    losses = np.bincount(ids[:-1], weights=2.0 * g * g, minlength=len(sizes))  # adds in pair order
+    # +0.0 across two sets leaves each set's end gradients as in the set alone
+    grad_h = np.zeros(len(hs))
+    grad_h[:-1] += dl_dh
+    grad_h[1:] -= dl_dh
+    return losses, grad_h
 
 
 def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int]):
     """LGP of consecutive token sets of the given sizes in x (T, N) with
-    latents h (T,), at LGP_ALPHA and LGP_BETA. Each set is ranked by a stable
-    argsort of its latents and only consecutive pairs of that order are
-    penalized. Sets of several sizes are padded to the largest: a padded
-    slot's NaN latent sorts after every real one, and _lgp_sorted masks its
-    pairs. Returns the sum of the set losses, added in set order, and the
-    gradient w.r.t. h (T,).
+    latents h (T,), at LGP_ALPHA and LGP_BETA. One stable sort of the rows by
+    set, then latent, ranks each set by its latents, and only consecutive
+    pairs of that order are penalized. Returns the sum of the set losses,
+    added in set order, and the gradient w.r.t. h (T,).
     """
-    sizes = np.asarray(sizes)
-    m = int(sizes.max())
-    starts = np.cumsum(sizes) - sizes
-    rows = starts[:, None] + np.arange(m)
-    ragged = bool(sizes.min() < m)
-    if ragged:
-        real = np.arange(m) < sizes[:, None]
-        rows = np.where(real, rows, starts[:, None])
-        hs = np.where(real, h[rows], np.nan)
-    else:
-        hs = h[rows]
-    order = np.argsort(hs, axis=1, kind="stable")
-    rows = np.take_along_axis(rows, order, axis=1)
-    losses, grad = _lgp_sorted(x[rows], np.take_along_axis(hs, order, axis=1), LGP_ALPHA, LGP_BETA,
-                               sizes if ragged else None)
-    grad_h = np.zeros_like(h)
-    if ragged:
-        grad_h[rows[real]] = grad[real]  # real tokens still fill each set's first slots
-    else:
-        grad_h[rows] = grad
+    order = np.lexsort((h, set_ids(sizes)))
+    losses, grad = _lgp_sorted(x[order], h[order], sizes, LGP_ALPHA, LGP_BETA)
+    grad_h = np.empty_like(grad)
+    grad_h[order] = grad
     return float(np.cumsum(losses)[-1]), grad_h  # cumsum adds in order; sum() would not
 
 
@@ -307,11 +281,11 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
     gaps well below it all cost about the same, so a pair at distance d on a
     tied latent scores at most 2 * (d / beta - alpha)^2. The penalty is zero
     at gap d / alpha - beta, and pairs closer than alpha * beta are drawn
-    together rather than apart. Training evaluates the same terms batched, in
-    _lgp_sorted, at LGP_ALPHA and LGP_BETA.
+    together rather than apart. This is the one-set case of _lgp_sorted, which
+    training runs on a whole batch at LGP_ALPHA and LGP_BETA (see _lgp_batch).
     """
-    loss, grad_h = _lgp_sorted(x_sorted[None], h_sorted[None], alpha, beta)
-    return float(loss[0]), grad_h[0]
+    losses, grad_h = _lgp_sorted(x_sorted, h_sorted, [len(h_sorted)], alpha, beta)
+    return float(losses[0]), grad_h
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,11 @@ def test_tsp_bench_csv(tmp_path):
       "--out", "{out}"], 1, "no token sets"),
     (["gen-planar", "--count", "-2", "--out", "{out}"], 2, "--count must be >= 0, got -2"),
     (["gen-planar", "--count", "1", "--seed", "-1", "--out", "{out}"], 2, "--seed must be >= 0, got -1"),
+    (["train-latent", "--in", "{sets}", "--seed", "-1", "--out", "{out}"], 2, "--seed must be >= 0, got -1"),
+    (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--seed", "-1", "--out", "{out}"],
+     2, "--seed must be >= 0, got -1"),
+    (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "-3", "--out", "{out}"],
+     2, "--train-sets must be >= 0, got -3"),
     # the path given, not the temporary file beside it
     (["sort", "--scheme", "lex", "--in", "{sets}", "--out", "{tmp}/missing/o.jsonl"],
      1, "missing/o.jsonl'"),
@@ -295,7 +300,8 @@ def test_tsp_bench_csv(tmp_path):
     (["train-latent", "--in", "{sets}", "--epochs", "1", "--out", "{taken}"],
      1, "Is a directory: '{taken}'"),
 ], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
-        "negative-seed", "missing-directory", "res-huge", "history-is-directory", "out-is-directory"])
+        "negative-seed", "train-latent-negative-seed", "tsp-bench-negative-seed",
+        "negative-train-sets", "missing-directory", "res-huge", "history-is-directory", "out-is-directory"])
 def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

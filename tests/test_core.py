@@ -264,6 +264,10 @@ def _oracle_read_token_sets(path) -> list[TokenSet]:
                 if len(widths) > 1:
                     raise ValueError(f"ragged token dimensions {sorted(widths)}")
                 ts = TokenSet(np.asarray(tokens, dtype=np.float64), id=obj.get("id"))
+                # numpy reads true and "1.5" as numbers; a file may not
+                for x in (x for t in tokens for x in t):
+                    if isinstance(x, (bool, str)) or not isinstance(x, (int, float)):
+                        raise ValueError(f'"tokens" must hold only JSON numbers, got {x!r}')
             except Exception as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
             out.append(ts)
@@ -292,6 +296,11 @@ READ_CASES = {
     "null component": ['{"tokens": [[null, 1.0]]}'],
     "string components": [GOOD, '{"tokens": [["a", 1.0]]}'],
     "numeric string components": ['{"tokens": [["1.5", 2], [true, 3]]}'],
+    "boolean components": [GOOD, '{"tokens": [[1.0, 2.0], [0.5, false]]}', GOOD],
+    "booleans alone": ['{"tokens": [[true, false]]}'],
+    "an id that says true": ['{"id": "true or false", "tokens": [[1.0, 2.0]]}', GOOD],
+    "integer components": ['{"tokens": [[1, 2], [3, -4]]}', '{"tokens": [[9007199254740993, 0]]}'],
+    "ints past 64 bits": ['{"tokens": [[1' + "0" * 30 + ', 1]]}', GOOD],
     "blank lines": ["", GOOD, "   ", "", GOOD, ""],
     "mixed dimensions": [GOOD, '{"tokens": [[1.0]]}', '{"tokens": [[2.0], [3.0]]}', GOOD,
                          '{"tokens": [[1.0, 2.0, 3.0]]}', GOOD],
@@ -352,8 +361,9 @@ def test_read_graphs_names_first_bad_line(tmp_path):
         read_graphs(p)
     with pytest.raises(FileNotFoundError):
         read_graphs(tmp_path / "absent.jsonl")
-    # a flag that is not a JSON boolean, and an endpoint that is not a JSON
-    # integer, are refused rather than read as truthy or truncated
+    # a flag that is not a JSON boolean, an endpoint that is not a JSON
+    # integer, and a node feature that is not a JSON number are refused
+    # rather than read as truthy, truncated or converted
     nodes = [[0.0, 0.0], [1.0, 1.0]]
     for fields, message in [
         ({"edges": [[0, 1]], "directed": "false"}, "\"directed\" must be true or false, got 'false'"),
@@ -362,6 +372,8 @@ def test_read_graphs_names_first_bad_line(tmp_path):
         ({"edges": [[0, 1.7]]}, "edge endpoints must be integers, got 1.7"),
         ({"edges": [[0, 1], [1.0, 0]]}, "edge endpoints must be integers, got 1.0"),
         ({"edges": [[True, 0]]}, "edge endpoints must be integers, got True"),
+        ({"nodes": [[0.0, 0.0], [True, 1.0]], "edges": []}, '"nodes" must hold only JSON numbers, got True'),
+        ({"nodes": [["0.5", 0.0], [1.0, 1.0]], "edges": []}, "\"nodes\" must hold only JSON numbers, got '0.5'"),
     ]:
         p.write_text(good + "\n" + json.dumps({"nodes": nodes} | fields) + "\nnot json\n")
         with pytest.raises(ValueError) as info:

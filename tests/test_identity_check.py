@@ -1,6 +1,6 @@
 """The comparison and report logic of tools/identity_check.py, on fabricated
-digests, and its smd, delaunay and analysis scripts; no git and no tokensort
-command runs here."""
+digests, and its smd, edge-token training, delaunay and analysis scripts; no
+git and no tokensort command runs here."""
 import hashlib
 import importlib.util
 import json
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from tokensort.analysis import LatentGaussianProfile, rank_probability_matrix, swap_probability, tridiagonal_P
-from tokensort.core import write_graphs
+from tokensort.core import read_graphs, tokenize_edges, write_graphs
 from tokensort.datagen import DegenerateInputError, PlanarGenConfig, delaunay, generate_planar_graph
+from tokensort.latentsort import TrainConfig, save_model, train
 from tokensort.metrics import smd
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_check.py"
@@ -102,6 +103,23 @@ def test_smd_script_scores_consecutive_pairs_then_self_pairs(tmp_path):
                           capture_output=True, text=True, check=True)
     pairs = [(0, 1), (1, 2), (0, 0), (1, 1), (2, 2)]
     assert proc.stdout.splitlines() == [smd(graphs[i], graphs[j]).hex() for i, j in pairs]
+
+
+def test_edge_train_script_digests_a_model_trained_on_edge_tokens(tmp_path):
+    tool = _load_tool()
+    graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in (4, 5, 6)]
+    path = tmp_path / "graphs.jsonl"
+    write_graphs(str(path), graphs)
+    src = str(Path(tool.ROOT) / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", tool.EDGE_TRAIN_SCRIPT, str(path)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    # the same training in process: 4-D sets of differing sizes, one per graph
+    sets = [tokenize_edges(g) for g in read_graphs(str(path))]
+    assert {ts.dim for ts in sets} == {4} and len({ts.size for ts in sets}) > 1
+    model, _ = train(sets, TrainConfig(epochs=tool.EDGE_EPOCHS, lgp_coefficient=tool.LGP))
+    save_model(model, tmp_path / "ref.json")
+    assert proc.stdout.split() == [hashlib.sha256((tmp_path / "ref.json").read_bytes()).hexdigest()]
 
 
 def test_delaunay_script_prints_each_set_in_four_forms():

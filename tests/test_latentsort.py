@@ -416,28 +416,42 @@ def _ragged_sets(rng, count, dim, snap=None):
 
 def test_lgp_batch_matches_loop_oracle():
     rng = np.random.default_rng(21)
+    cases = []
     for trial in range(30):
         dim = int(rng.integers(1, 5))
         sets = _ragged_sets(rng, int(rng.integers(1, 40)), dim, snap=(2 if trial % 3 == 0 else None))
-        sizes = [len(s) for s in sets]
-        h = rng.normal(size=sum(sizes))
+        h = rng.normal(size=sum(map(len, sets)))
         if trial % 2:
             h = np.round(h * 2) / 2  # exact latent ties between distinct tokens
-        total, grad_h = _lgp_batch(np.concatenate(sets), h, sizes)
+        cases.append((sets, h))
+    # all latents zero, of either sign; one set; sets of one token
+    sets = _ragged_sets(rng, 12, 3, snap=2)
+    total = sum(map(len, sets))
+    cases += [(sets, np.zeros(total)), (sets, np.where(rng.random(total) < 0.5, -0.0, 0.0)),
+              (sets[:1], rng.normal(size=len(sets[0]))),
+              ([rng.uniform(size=(1, 2)) for _ in range(5)], rng.normal(size=5)),
+              ([rng.uniform(size=(1, 2))], np.array([-0.0])),
+              ([rng.uniform(size=(m, 2)) for m in (1, 6, 1, 1, 3, 1)], np.zeros(13))]
+    for sets, h in cases:
+        total, grad_h = _lgp_batch(np.concatenate(sets), h, [len(s) for s in sets])
         ref_total, ref_grad = _loop_lgp_batch(sets, h)
-        assert total == ref_total
-        assert np.array_equal(grad_h, ref_grad)
+        assert total.hex() == ref_total.hex()  # bytewise: -0.0 is not +0.0 here
+        assert grad_h.tobytes() == ref_grad.tobytes()
 
 
 def test_lgp_terms_matches_loop_oracle():
     rng = np.random.default_rng(22)
-    for msize in range(1, 29):
+    for msize in range(29):
         x = rng.uniform(size=(msize, 4))
-        h = np.sort(np.round(rng.normal(size=msize) * 3) / 3)
-        loss, gh = lgp_terms(x, h, 1.0, 0.1)
-        ref_loss, ref_gh = _loop_lgp_terms(x, h, 1.0, 0.1)
-        assert loss == ref_loss
-        assert np.array_equal(gh, ref_gh)
+        for h in (np.sort(np.round(rng.normal(size=msize) * 3) / 3), np.zeros(msize)):
+            loss, gh = lgp_terms(x, h, 1.0, 0.1)
+            ref_loss, ref_gh = _loop_lgp_terms(x, h, 1.0, 0.1)
+            assert loss.hex() == ref_loss.hex()
+            assert gh.shape == (msize,) and gh.tobytes() == ref_gh.tobytes()
+    # no pair: no loss and a zero gradient, for no token and for one
+    for msize in (0, 1):
+        loss, gh = lgp_terms(np.ones((msize, 2)), np.ones(msize), 1.0, 0.1)
+        assert (loss.hex(), gh.tobytes()) == ((0.0).hex(), np.zeros(msize).tobytes())
 
 
 def test_batch_losses_and_grads_match_loop_oracle():

@@ -10,15 +10,16 @@ to a grid of eighths) and runs, on each side, `tokensort train-latent` on it
 (10 epochs, lgp 0.01), `sort` and `analyze` with every scheme (latent with the
 side's own model), `gen-planar --count 20`, `metrics` of the corpus against
 its copy with every set snapped to the grid, `ambiguity-grid` by each scheme
-and by the side's model, and a small `tsp-bench`. It also runs `metrics.smd` of
-the side's tree on the base side's `gen-planar` graphs: each consecutive pair
-and each graph with itself, every value written with `float.hex`; and
-`datagen.delaunay` of the side's tree on seeded point sets, collinear triples
-and duplicate points among them; and the analysis kernels
-`rank_probability_matrix`, `tridiagonal_P` and `swap_probability` of the
-side's tree on seeded latent profiles, zero variances and equal means among
-them. It compares the sha256 of every output, prints one line per output and
-exits 1 unless every digest matches.
+and by the side's model, and a small `tsp-bench`. It also runs, with the
+side's tree, `metrics.smd` on the base side's `gen-planar` graphs: each
+consecutive pair and each graph with itself, every value written with
+`float.hex`; a 5-epoch training (lgp 0.01) on those graphs' edge tokens,
+ragged 4-D sets, digested by its model file; `datagen.delaunay` on seeded
+point sets, collinear triples and duplicate points among them; and the
+analysis kernels `rank_probability_matrix`, `tridiagonal_P` and
+`swap_probability` on seeded latent profiles, zero variances and equal means
+among them. It compares the sha256 of every output, prints one line per
+output and exits 1 unless every digest matches.
 """
 from __future__ import annotations
 
@@ -56,6 +57,20 @@ from tokensort.metrics import smd
 graphs = read_graphs(sys.argv[1])
 pairs = list(zip(graphs, graphs[1:])) + [(g, g) for g in graphs]
 print("\\n".join(smd(a, b).hex() for a, b in pairs))
+"""
+# argv[1]: a graph file; trains a latent-sort model on its graphs' edge tokens
+# (one 4-D set per graph, of as many sizes as the graphs have edge counts)
+# for EDGE_EPOCHS epochs at lgp LGP and prints the sha256 of the model file
+EDGE_EPOCHS = 5
+EDGE_TRAIN_SCRIPT = f"""
+import hashlib, sys
+from pathlib import Path
+from tokensort.core import read_graphs, tokenize_edges
+from tokensort.latentsort import TrainConfig, save_model, train
+model, _ = train([tokenize_edges(g) for g in read_graphs(sys.argv[1])],
+                 TrainConfig(epochs={EDGE_EPOCHS}, lgp_coefficient={LGP}))
+save_model(model, "edge-model.json")
+print(hashlib.sha256(Path("edge-model.json").read_bytes()).hexdigest())
 """
 # argv[1]: a seed; prints the triangles delaunay returns, or the error it
 # raises, one line a set, for DELAUNAY_SETS seeded sets of 4-39 points in the
@@ -164,9 +179,9 @@ def _sha256(path: Path) -> str:
 
 def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
              graphs: Path) -> dict[str, str]:
-    """Run every command, then SMD_SCRIPT on `graphs` and DELAUNAY_SCRIPT and
-    ANALYSIS_SCRIPT at `seed`, with the tokensort of `tree`; output name ->
-    sha256, or "exit <code>" for one that failed."""
+    """Run every command, then SMD_SCRIPT and EDGE_TRAIN_SCRIPT on `graphs`
+    and DELAUNAY_SCRIPT and ANALYSIS_SCRIPT at `seed`, with the tokensort of
+    `tree`; output name -> sha256, or "exit <code>" for one that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
@@ -180,8 +195,8 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
         digests[name] = _sha256(target)
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
-    scripts = (("smd", SMD_SCRIPT, graphs), ("delaunay", DELAUNAY_SCRIPT, seed),
-               ("analysis", ANALYSIS_SCRIPT, seed))
+    scripts = (("smd", SMD_SCRIPT, graphs), ("train on edge tokens", EDGE_TRAIN_SCRIPT, graphs),
+               ("delaunay", DELAUNAY_SCRIPT, seed), ("analysis", ANALYSIS_SCRIPT, seed))
     for name, script, arg in scripts:
         proc = subprocess.run([sys.executable, "-c", script, str(arg)], cwd=out, env=env,
                               capture_output=True)
