@@ -31,8 +31,11 @@ class SinkhornConfig:
     samples: int = 100
 
     def validate(self) -> None:
-        if self.epsilon <= 0 or self.samples < 1:
-            raise ValueError("epsilon must be > 0 and samples >= 1")
+        if not 0 < self.epsilon < math.inf:  # also rejects NaN
+            raise ValueError(f"require a finite epsilon > 0, got {self.epsilon}")
+        samples = self.samples
+        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+            raise ValueError(f"require an integer samples >= 1, got {samples!r}")
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,35 +88,74 @@ def sample_edge_points(g: Graph, samples: int) -> np.ndarray:
     return starts[idx] + local[:, None] * (ends[idx] - starts[idx])
 
 
-def _logsumexp_rows(mat: np.ndarray) -> np.ndarray:
-    mx = mat.max(axis=1, keepdims=True)
-    return (mx + np.log(np.sum(np.exp(mat - mx), axis=1, keepdims=True)))[:, 0]
+def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp of each matrix of a stack along `axis`; overwrites mat."""
+    mx = mat.max(axis=axis, keepdims=True)
+    mat -= mx
+    np.exp(mat, out=mat)
+    return (mx + np.log(mat.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _transport_cost(a: np.ndarray, b: np.ndarray, cfg: SinkhornConfig) -> float:
-    """<plan, cost> for the log-domain Sinkhorn plan with uniform marginals.
+def _log_plan(fo: np.ndarray, og: np.ndarray, cost: np.ndarray, eps: float,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """(f + g - cost) / eps for each transport of a stack, into out.
 
-    A g-update leaves the columns at their marginals up to rounding, so only
-    the row sums are checked: exp of the row log-sum-exp the next f-update uses.
+    fo holds the rows [f_i, 1] and og the columns [1, g_j], so fo @ og is
+    f_i + g_j: both products are by 1.0, so exact, and their sum is rounded
+    once, whatever the order or fusion the matmul uses. That is numpy's
+    broadcast f + g bit for bit, without its loop over rows. (The two could
+    differ only on -0.0 + -0.0; the potentials start at +0.0 and so never
+    become -0.0.)
     """
-    cost = _pairwise_sq(a, b)
-    eps = cfg.epsilon
-    n, m = cost.shape
+    out = np.matmul(fo, og, out=out)
+    out -= cost
+    out /= eps
+    return out
+
+
+def _transport_costs(cost: np.ndarray, eps: float) -> list[float]:
+    """<plan, cost> for the log-domain Sinkhorn plan with uniform marginals,
+    for each (n, m) cost matrix of a (P, n, m) stack.
+
+    The P transports iterate as one stack, and each stops at its own
+    iteration: once its plan meets the stop rule it is scored and dropped.
+    Each transport's arithmetic is the one-transport loop's, so its cost does
+    not depend on what it is stacked with: a row sum is pairwise over its row,
+    a column sum sequential over the rows. A g-update leaves the columns at
+    their marginals up to rounding, so only the row sums are checked: exp of
+    the row log-sum-exp the next f-update uses. Every pass works in place in
+    one (P, n, m) buffer, and a converged transport's plan is rebuilt to score
+    it. Raises SinkhornError with the violation of the first transport, in
+    stack order, that has not converged after SINKHORN_MAX_ITERS iterations.
+    """
+    P, n, m = cost.shape
     log_a = -math.log(n)
     log_b = -math.log(m)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    row_lse = _logsumexp_rows(-cost / eps)  # (f + g - cost) / eps at f = g = 0
+    fo = np.zeros((P, n, 2))  # rows [f_i, 1], from f = 0
+    fo[:, :, 1] = 1.0
+    og = np.zeros((P, 2, m))  # columns [1, g_j], from g = 0
+    og[:, 0, :] = 1.0
+    active = np.arange(P)  # the transport in each row of the stack
+    scores = [0.0] * P
+    mat = buf = -cost / eps  # (f + g - cost) / eps at f = g = 0
+    row_lse = _logsumexp(mat, 2)
     for _ in range(SINKHORN_MAX_ITERS):
-        f = f + eps * (log_a - row_lse)
-        mat = (f[:, None] + g[None, :] - cost) / eps
-        g = g + eps * (log_b - _logsumexp_rows(mat.T))
-        mat = (f[:, None] + g[None, :] - cost) / eps
-        row_lse = _logsumexp_rows(mat)
-        violation = float(np.abs(np.exp(row_lse) - 1.0 / n).sum())
-        if violation < SINKHORN_TOL:
-            return float(np.sum(np.exp(mat) * cost))
-    raise SinkhornError(violation)
+        fo[:, :, 0] += eps * (log_a - row_lse)
+        og[:, 1, :] += eps * (log_b - _logsumexp(_log_plan(fo, og, cost, eps, out=mat), 1))
+        row_lse = _logsumexp(_log_plan(fo, og, cost, eps, out=mat), 2)
+        violation = np.abs(np.exp(row_lse) - 1.0 / n).sum(axis=1)
+        done = violation < SINKHORN_TOL
+        if done.any():
+            plans = np.exp(_log_plan(fo[done], og[done], cost[done], eps))
+            for k, plan, c in zip(active[done], plans, cost[done]):
+                scores[k] = float(np.sum(plan * c))
+            keep = ~done
+            if not keep.any():
+                return scores
+            active, cost, fo, og, row_lse, violation = (
+                active[keep], cost[keep], fo[keep], og[keep], row_lse[keep], violation[keep])
+            mat = buf[: len(active)]
+    raise SinkhornError(float(violation[0]))
 
 
 def smd(a: Graph, b: Graph, cfg: SinkhornConfig | None = None) -> float:
@@ -130,9 +172,8 @@ def smd(a: Graph, b: Graph, cfg: SinkhornConfig | None = None) -> float:
     pb = sample_edge_points(b, cfg.samples)
     if pb.tobytes() < pa.tobytes():
         pa, pb = pb, pa
-    cross = _transport_cost(pa, pb, cfg)
-    self_a = _transport_cost(pa, pa, cfg)
-    self_b = _transport_cost(pb, pb, cfg)
+    cross, self_a, self_b = _transport_costs(
+        np.stack([_pairwise_sq(pa, pb), _pairwise_sq(pa, pa), _pairwise_sq(pb, pb)]), cfg.epsilon)
     return cross - 0.5 * (self_a + self_b)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokensort import metrics
 from tokensort.core import Graph, TokenSet
 from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 from tokensort.metrics import (
@@ -12,7 +13,9 @@ from tokensort.metrics import (
     SINKHORN_TOL,
     SinkhornConfig,
     SinkhornError,
+    _log_plan,
     _pairwise_sq,
+    _transport_costs,
     ehd,
     emd,
     sample_edge_points,
@@ -201,6 +204,85 @@ def test_smd_config_validation():
     a, b = _graphs()
     with pytest.raises(ValueError):
         smd(a, b, SinkhornConfig(epsilon=-1.0))
+    # NaN and inf epsilon ran 1000 iterations and then failed to converge;
+    # samples 2.5 failed the same way, and True sampled one point
+    for field, value in (("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", math.inf),
+                         ("samples", 0), ("samples", 2.5), ("samples", True)):
+        with pytest.raises(ValueError, match=f"require .*{field}"):
+            smd(a, b, SinkhornConfig(**{field: value}))
+
+
+def _transports(a, b):
+    """The point clouds of smd's cross, self_a and self_b transports, in its order."""
+    pa, pb = sample_edge_points(a, 100), sample_edge_points(b, 100)
+    if pb.tobytes() < pa.tobytes():
+        pa, pb = pb, pa
+    return [(pa, pb), (pa, pa), (pb, pb)]
+
+
+def _cost_stack(a, b):
+    return np.stack([_pairwise_sq(p, q) for p, q in _transports(a, b)])
+
+
+@pytest.mark.parametrize("shape", [(3, 100, 100), (2, 7, 13), (1, 1, 1)])
+def test_log_plan_sums_potentials_as_broadcast_add(shape):
+    # f + g through the rank-2 matmul, against numpy's broadcast add, on
+    # potentials of every magnitude and sign, subnormals and exact cancellations
+    p, n, m = shape
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(p, n)) * 10.0 ** rng.integers(-310, 300, size=(p, n))
+    g = rng.normal(size=(p, m)) * 10.0 ** rng.integers(-310, 300, size=(p, m))
+    g[:, : min(n, m)] = -f[:, : min(n, m)]
+    fo = np.stack([f, np.ones_like(f)], axis=2)
+    og = np.stack([np.ones_like(g), g], axis=1)
+    got = _log_plan(fo, og, np.zeros(shape), 1.0)
+    assert got.tobytes() == (f[:, :, None] + g[:, None, :]).tobytes()
+
+
+def _stop_iteration(cost, monkeypatch):
+    """Fewest iterations within which one transport, stacked alone, converges."""
+    lo, hi = 1, SINKHORN_MAX_ITERS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(metrics, "SINKHORN_MAX_ITERS", mid)
+        try:
+            _transport_costs(cost[None], 0.01)
+            hi = mid
+        except SinkhornError:
+            lo = mid + 1
+    monkeypatch.setattr(metrics, "SINKHORN_MAX_ITERS", SINKHORN_MAX_ITERS)
+    return lo
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_stacked_transports_score_as_each_alone(seed, monkeypatch):
+    a, b = (generate_planar_graph(PlanarGenConfig(seed=s)) for s in (seed, seed + 1))
+    stack = _cost_stack(a, b)
+    # three different stop iterations, so transports leave the stack one by one
+    assert len({_stop_iteration(cost, monkeypatch) for cost in stack}) == 3
+    alone = [_transport_costs(cost[None], 0.01)[0].hex() for cost in stack]
+    assert alone == [_reference_transport_cost(p, q, 0.01).hex() for p, q in _transports(a, b)]
+    for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+        assert [c.hex() for c in _transport_costs(stack[order], 0.01)] == [alone[k] for k in order]
+
+
+def test_stack_reports_the_first_unconverged_transport(monkeypatch):
+    a, b = _graphs()
+    stack = _cost_stack(a, b)
+    with pytest.raises(SinkhornError) as cross:
+        _transport_costs(stack[:1], 1e-5)
+    with pytest.raises(SinkhornError) as every:
+        _transport_costs(stack, 1e-5)
+    assert every.value.violation.hex() == cross.value.violation.hex()
+    # the cross transport converges on the last iteration allowed and leaves
+    # the stack; self_a, scaled 30-fold, does not, so its violation is reported
+    monkeypatch.setattr(metrics, "SINKHORN_MAX_ITERS", _stop_iteration(stack[0], monkeypatch))
+    stack[1] *= 30
+    with pytest.raises(SinkhornError) as second:
+        _transport_costs(stack[1:2], 0.01)
+    with pytest.raises(SinkhornError) as mixed:
+        _transport_costs(stack, 0.01)
+    assert mixed.value.violation.hex() == second.value.violation.hex()
 
 
 def test_sample_edge_points_on_edges():
