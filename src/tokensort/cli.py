@@ -69,11 +69,10 @@ def _sort_fn(scheme: str, model_path: str | None):
 
 
 def _sorted_corpora(sort, path):
-    """The sets of the file ordered by `sort`: the file is read first, then
-    one SortedCorpus is made for each run of consecutive sets that share a
-    token dimension (one for most files)."""
-    runs = read_corpus(path)
-    return (sort(values, sizes) for values, sizes, _ in runs)
+    """The sets of the file ordered by `sort`, one SortedCorpus for each
+    block of read_corpus, each read as it is asked for: a writer that lets
+    each go holds one block of the file at a time."""
+    return (sort(values, sizes) for values, sizes, _ in read_corpus(path))
 
 
 def _write_csv(path, header: list[str], rows) -> None:

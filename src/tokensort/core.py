@@ -10,7 +10,7 @@ import json
 import os
 import secrets
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -64,7 +64,8 @@ class TokenSet:
         return np.array_equal(_canonical_rows(self.values), _canonical_rows(other.values))
 
     def __hash__(self):
-        return hash(_canonical_rows(self.values).tobytes())
+        # + 0.0 makes -0.0 into 0.0, which __eq__ holds equal
+        return hash((_canonical_rows(self.values) + 0.0).tobytes())
 
 
 @dataclass(frozen=True)
@@ -306,19 +307,19 @@ def _write_jsonl(path, objs: Iterable[dict]) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def _parse_lines(path, build) -> list:
+def _parse_lines(path, build) -> Iterator:
     """build(obj) for the decoded JSON of each non-blank line of the file,
-    in order; ValueError names the first line that fails and why."""
-    out = []
+    in order, as the lines are read; ValueError names the first line that
+    fails and why."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(build(json.loads(line)))
+                item = build(json.loads(line))
             except Exception as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+            yield item
 
 
 def _json_numbers(rows, what: str) -> None:
@@ -343,22 +344,47 @@ def write_token_sets(path, sets: Iterable[TokenSet]) -> None:
                         for ts in sets))
 
 
-def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
-    """The token sets of a file as (values, sizes, ids) for each run of
-    consecutive sets that share a token dimension: values (T, N) holds the
-    run's tokens set after set, sizes the sets' token counts and ids their
-    "id" fields (None where absent).
+# the most rows a block of read_corpus holds, unless one set has more: what
+# `sort` and `analyze` keep of a file at once, as Python lists of about
+# 100-160 B a float while a block is decoded
+CORPUS_BLOCK_ROWS = 2048
 
-    Each line is decoded and width-checked on its own, and each run becomes
-    one array with one finiteness check; a line that spells true or false, or
-    a run whose array is not numeric, is checked value by value for JSON
-    numbers. When a line or a run fails, the file is parsed again line by
-    line (_parse_lines), which raises ValueError naming the first failing
-    line and why it fails.
+
+def _block(width: int, rows: list, sizes: list[int], ids: list) -> tuple[np.ndarray, list[int], list]:
+    """One block of read_corpus from its decoded lines: one array, checked
+    numeric and finite once."""
+    values = np.array(rows)
+    if values.dtype.kind not in "iuf":  # strings; booleans alone; ints past 64 bits
+        _json_numbers(rows, "tokens")
+    values = values.astype(np.float64, copy=False)
+    if values.shape != (len(rows), width) or not np.isfinite(values).all():
+        raise ValueError("not a finite matrix")
+    return values, sizes, ids
+
+
+def read_corpus(path) -> Iterator[tuple[np.ndarray, list[int], list]]:
+    """The token sets of a file in blocks of consecutive sets, each as
+    (values, sizes, ids): values (T, N) holds the block's tokens set after
+    set, sizes the sets' token counts and ids their "id" fields (None where
+    absent).
+
+    A block ends where the token dimension changes, or before a set that
+    would take it past CORPUS_BLOCK_ROWS rows. A set is never split, so a
+    larger one is a block of its own. Blocks are read as they are asked
+    for, so a reader that lets each go holds one block of the file at a
+    time.
+
+    Each line is decoded and width-checked on its own, and each block
+    becomes one array with one finiteness check; a line that spells true or
+    false, or a block whose array is not numeric, is checked value by value
+    for JSON numbers. When a line or a block fails, the file is parsed again
+    line by line (_parse_lines), which raises ValueError naming the first
+    failing line and why it fails; the blocks before it are the ones that
+    parse.
     """
-    runs: list[tuple[int, list, list[int], list]] = []
     try:
         with open(path) as fh:
+            width, rows, sizes, ids = 0, [], [], []
             for line in fh:
                 if not line.strip():
                     continue
@@ -369,30 +395,25 @@ def read_corpus(path) -> list[tuple[np.ndarray, list[int], list]]:
                     raise ValueError("not a list of tokens of one width")
                 if "true" in line or "false" in line:  # a JSON boolean, or an id that names one
                     _json_numbers(tokens, "tokens")
-                width = widths.pop()
-                if not runs or runs[-1][0] != width:
-                    runs.append((width, [], [], []))
-                _, rows, sizes, ids = runs[-1]
+                n = widths.pop()
+                if sizes and (n != width or len(rows) + len(tokens) > CORPUS_BLOCK_ROWS):
+                    block = _block(width, rows, sizes, ids)
+                    rows, sizes, ids = [], [], []
+                    yield block
+                width = n
                 rows += tokens
                 sizes.append(len(tokens))
                 ids.append(obj.get("id"))
-        out = []
-        for width, rows, sizes, ids in runs:
-            values = np.array(rows)
-            if values.dtype.kind not in "iuf":  # strings; booleans alone; ints past 64 bits
-                _json_numbers(rows, "tokens")
-            values = values.astype(np.float64, copy=False)
-            if values.shape != (len(rows), width) or not np.isfinite(values).all():
-                raise ValueError("not a finite matrix")
-            out.append((values, sizes, ids))
-        return out
+            if sizes:
+                yield _block(width, rows, sizes, ids)
     except Exception:
-        _parse_lines(path, _token_set)
+        for _ in _parse_lines(path, _token_set):  # raises at the first bad line
+            pass
         raise
 
 
 def read_token_sets(path) -> list[TokenSet]:
-    """The token sets of a file, in order (see read_corpus)."""
+    """The token sets of a file, in order, made block by block (see read_corpus)."""
     return [TokenSet(part, id=id_) for values, sizes, ids in read_corpus(path)
             for part, id_ in zip(np.split(values, np.cumsum(sizes)[:-1]), ids)]
 
@@ -409,7 +430,7 @@ def _graph(obj) -> Graph:
 
 
 def read_graphs(path) -> list[Graph]:
-    return _parse_lines(path, _graph)
+    return list(_parse_lines(path, _graph))
 
 
 def _item_texts(a: np.ndarray | None) -> list[str] | None:

@@ -71,7 +71,7 @@ def delaunay(points) -> list[tuple[int, int, int]]:
         raise ValueError(f"non-finite points at indices {non_finite.tolist()}")
     keep: list[int] = []
     seen: set[bytes] = set()
-    for i, p in enumerate(pts):
+    for i, p in enumerate(pts + 0.0):  # -0.0 becomes 0.0: the same point
         key = p.tobytes()
         if key in seen:
             warnings.warn("duplicate points dropped before triangulation", stacklevel=2)
@@ -116,6 +116,13 @@ def delaunay(points) -> list[tuple[int, int, int]]:
     return sorted(result)
 
 
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of each vector of u with the same one of v, along the
+    last axis, by the BLAS dot that np.dot of two 1-D vectors takes: each
+    equals that np.dot bit for bit."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _merge_close_nodes(pts: np.ndarray, min_dist: float):
     """Replace each cluster of nodes closer than min_dist, closed
     transitively, by its centroid; iterated because the centroids can make
@@ -124,7 +131,7 @@ def _merge_close_nodes(pts: np.ndarray, min_dist: float):
     while True:
         diff = pts[:, None] - pts[None, :]
         # the BLAS dot a 1-D np.linalg.norm takes, so `<` decides as it would
-        close = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0] < min_dist
+        close = np.sqrt(_dots(diff, diff)) < min_dist
         # label propagation: each node ends labelled by the smallest index
         # in its cluster
         labels = np.arange(len(pts))
@@ -144,25 +151,37 @@ def _collapse_narrow_angles(pts: np.ndarray, edges: set[tuple[int, int]], min_an
     """Remove the longer edge of any incident pair meeting at an angle below
     the threshold; repeat until no pair offends. On equal lengths the edge
     of a pair that sorts first loses, and of a node's offending pairs the
-    first pair's loser is removed."""
+    first pair's loser is removed.
+
+    Whether a pair is narrow is geometry alone, so every pair is decided
+    once, all cosines in one pass; the passes then only remove edges."""
+    ordered = sorted(edges)
     # ||u|| is ||-u|| bit for bit, so an edge's length is the norm of the
-    # vector from either endpoint to the other
-    length = {e: float(np.linalg.norm(pts[e[0]] - pts[e[1]])) for e in edges}
+    # vector from either endpoint to the other, as np.linalg.norm takes it
+    diff = pts[[a for a, _ in ordered]] - pts[[b for _, b in ordered]]
+    length = dict(zip(ordered, np.sqrt(_dots(diff, diff)).tolist()))
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e in ordered:  # so each node's edges are sorted
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+    pairs = [(node, e1, e2) for node in sorted(incident)
+             for e1, e2 in itertools.combinations(incident[node], 2)]
+    at = pts[[n for n, _, _ in pairs]]
+    u = pts[[e1[0] + e1[1] - n for n, e1, _ in pairs]] - at
+    v = pts[[e2[0] + e2[1] - n for n, _, e2 in pairs]] - at
+    # node -> its narrow pairs in sorted order, each (edge, edge, loser)
+    narrow: dict[int, list[tuple]] = {}
+    for (n, e1, e2), dot in zip(pairs, _dots(u, v).tolist()):
+        nu, nv = length[e1], length[e2]
+        if nu == 0 or nv == 0:
+            continue
+        if math.acos(min(1.0, max(-1.0, dot / (nu * nv)))) < min_angle_rad:
+            narrow.setdefault(n, []).append((e1, e2, max(e1, e2, key=length.get)))
     changed = True
     while changed:
         changed = False
-        for node in range(len(pts)):
-            incident = sorted(e for e in edges if node in e)
-            losers = []
-            for e1, e2 in itertools.combinations(incident, 2):
-                nu, nv = length[e1], length[e2]
-                if nu == 0 or nv == 0:
-                    continue
-                u = pts[e1[0] + e1[1] - node] - pts[node]
-                v = pts[e2[0] + e2[1] - node] - pts[node]
-                cos = float(np.dot(u, v) / (nu * nv))
-                if math.acos(min(1.0, max(-1.0, cos))) < min_angle_rad:
-                    losers.append(max(e1, e2, key=length.get))
+        for pairs_at_node in narrow.values():
+            losers = [loser for e1, e2, loser in pairs_at_node if e1 in edges and e2 in edges]
             if losers:
                 edges.discard(max(losers, key=length.get))
                 changed = True

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokensort import core
 from tokensort.core import (
     Graph,
     SortedCorpus,
@@ -29,6 +30,14 @@ def test_token_set_multiset_equality():
     assert a == b
     c = TokenSet(np.array([[1.0, 2.0], [3.0, 4.1]]))
     assert a != c
+
+
+def test_token_set_hash_agrees_with_equality_on_negative_zero():
+    a, b = TokenSet([[0.0, 1.0]]), TokenSet([[-0.0, 1.0]])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    c, d = TokenSet([[0.0, 1.0], [-0.0, 2.0]]), TokenSet([[-0.0, 2.0], [0.0, 1.0]])
+    assert c == d and hash(c) == hash(d) == hash(TokenSet([[0.0, 2.0], [-0.0, 1.0]]))
 
 
 def test_empty_set_rejected():
@@ -310,13 +319,19 @@ READ_CASES = {
 
 
 @pytest.mark.parametrize("name", READ_CASES)
-def test_reader_matches_line_by_line_oracle(tmp_path, name):
+def test_reader_matches_line_by_line_oracle(tmp_path, monkeypatch, name):
     path = tmp_path / "sets.jsonl"
     path.write_text("\n".join(READ_CASES[name]) + "\n")
+    for limit in (core.CORPUS_BLOCK_ROWS, 1, 3):  # the default, and blocks that end mid-case
+        monkeypatch.setattr(core, "CORPUS_BLOCK_ROWS", limit)
+        _check_reader(path, limit)
+
+
+def _check_reader(path, limit):
     try:
         expected = _oracle_read_token_sets(path)
     except ValueError as exc:
-        for read in (read_token_sets, read_corpus):
+        for read in (read_token_sets, lambda p: list(read_corpus(p))):
             with pytest.raises(ValueError) as got:
                 read(path)
             assert str(got.value) == str(exc)
@@ -324,18 +339,23 @@ def test_reader_matches_line_by_line_oracle(tmp_path, name):
     got = read_token_sets(path)
     assert [(ts.values.tobytes(), ts.values.shape, ts.id) for ts in got] == \
         [(ts.values.tobytes(), ts.values.shape, ts.id) for ts in expected]
-    # read_corpus: one run per stretch of consecutive sets of one dimension
-    runs = read_corpus(path)
-    dims = [ts.dim for ts in expected]
-    assert len(runs) == sum(1 for k, d in enumerate(dims) if k == 0 or d != dims[k - 1])
-    flat = [(v.shape[1], size, id_) for v, sizes, ids in runs for size, id_ in zip(sizes, ids)]
+    # read_corpus: blocks of one dimension, of at most `limit` rows unless
+    # one set has more, each ending at a dimension change or where the next
+    # set would not fit
+    blocks = list(read_corpus(path))
+    for (values, sizes, ids), nxt in zip(blocks, blocks[1:] + [None]):
+        assert len(values) == sum(sizes) and len(ids) == len(sizes)
+        assert len(values) <= limit or len(sizes) == 1
+        if nxt is not None and nxt[0].shape[1] == values.shape[1]:
+            assert len(values) + nxt[1][0] > limit
+    flat = [(v.shape[1], size, id_) for v, sizes, ids in blocks for size, id_ in zip(sizes, ids)]
     assert flat == [(ts.dim, ts.size, ts.id) for ts in expected]
-    assert b"".join(v.tobytes() for v, _, _ in runs) == b"".join(ts.values.tobytes() for ts in expected)
+    assert b"".join(v.tobytes() for v, _, _ in blocks) == b"".join(ts.values.tobytes() for ts in expected)
 
 
 def test_reader_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
-        read_corpus(tmp_path / "absent.jsonl")
+        list(read_corpus(tmp_path / "absent.jsonl"))
 
 
 def test_graph_roundtrip(tmp_path):

@@ -1,10 +1,13 @@
-"""`tokensort sort` and `analyze` order a whole file as one corpus. These tests
-compare them with the former per-set commands, kept here as the reference,
-byte for byte, and check that every per-set library function is the one-set
+"""`tokensort sort` and `analyze` order a file in blocks of sets
+(`core.read_corpus`). These tests compare them with the former per-set
+commands, kept here as the reference, byte for byte, at any block size; check
+that their memory does not grow with the file and that a bad line leaves no
+partial output; and check that every per-set library function is the one-set
 case of its corpus function."""
 import json
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tokensort import core
 from tokensort.analysis import (
     ambiguity_error,
     corpus_ambiguity_sets,
@@ -240,6 +244,90 @@ def test_empty_file(tmp_path):
     infile.write_text("")
     assert _run(tmp_path, "sort", "svd", infile, None) == b""
     assert _run(tmp_path, "analyze", "svd", infile, None) == b"[]\n"
+
+
+# a corpus for block sizes 3 and 1: sets of 2, 1, 4 and 2 rows, so that at 3
+# rows the first block is full where the dimension changes and the 4-row set
+# is a block of its own; blank lines and ids between them, and grid values
+# so that keys tie
+BLOCK_SETS = [
+    ("a", [[0.5, 0.25], [0.25, 0.5]]),
+    (None, [[1.0, 0.0]]),
+    ("b", [[0.5, 0.0, 1.0], [0.0, 0.5, 1.0], [0.5, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    (7, [[0.25, 0.25, 0.5], [0.5, 0.25, 0.25]]),
+    (None, [[0.75, 0.5], [0.5, 0.75], [0.0, 0.25], [0.25, 0.0], [0.5, 0.5]]),
+    *((f"s{k}", np.round(np.random.default_rng(k).uniform(size=(k % 4 + 1, 2)) * 4) / 4)
+      for k in range(12)),
+]
+
+
+def _write_block_corpus(path, sets) -> None:
+    lines = [json.dumps(({} if id_ is None else {"id": id_}) | {"tokens": np.asarray(x).tolist()})
+             for id_, x in sets]
+    path.write_text("\n\n".join(lines[:2]) + "\n  \n" + "\n".join(lines[2:]) + "\n\n")
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, core.CORPUS_BLOCK_ROWS, 10**9])
+def test_commands_match_reference_at_any_block_size(tmp_path, monkeypatch, block_rows):
+    monkeypatch.setattr(core, "CORPUS_BLOCK_ROWS", block_rows)
+    infile = tmp_path / "sets.jsonl"
+    _write_block_corpus(infile, BLOCK_SETS)
+    sets = [np.asarray(x, dtype=np.float64) for _, x in BLOCK_SETS]
+    for scheme in ("lex", "mean-squared", "svd"):
+        assert _run(tmp_path, "sort", scheme, infile, None) == _ref_sort_bytes(scheme, sets)
+        assert _run(tmp_path, "analyze", scheme, infile, None) == _ref_analyze_bytes(scheme, sets)
+    # the latent model takes one dimension: its sets alone, the 5-row one
+    # past a block of 3
+    planar = [(id_, x) for id_, x in BLOCK_SETS if np.shape(x)[1] == 2]
+    _write_block_corpus(infile, planar)
+    model = tmp_path / "model.json"
+    save_model(MODELS[2], model)
+    sets = [np.asarray(x, dtype=np.float64) for _, x in planar]
+    assert _run(tmp_path, "sort", "latent", infile, model) == _ref_sort_bytes("latent", sets)
+    assert _run(tmp_path, "analyze", "latent", infile, model) == _ref_analyze_bytes("latent", sets)
+
+
+def _sort_peak(tmp_path, blocks: int) -> int:
+    """The tracemalloc peak of `sort --scheme svd` on a file of `blocks`
+    full blocks of 8-point sets."""
+    rng = np.random.default_rng(blocks)
+    infile, out = tmp_path / f"blocks-{blocks}.jsonl", tmp_path / "sorted.jsonl"
+    n_sets = blocks * core.CORPUS_BLOCK_ROWS // 8
+    write_token_sets(infile, [TokenSet(x) for x in rng.uniform(size=(n_sets, 8, 2))])
+    tracemalloc.start()
+    try:
+        assert main(["sort", "--scheme", "svd", "--in", str(infile), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sort_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "CORPUS_BLOCK_ROWS", 512)
+    _sort_peak(tmp_path, 1)  # first calls: imports, the parser
+    small, large = _sort_peak(tmp_path, 4), _sort_peak(tmp_path, 32)
+    assert large < 1.5 * small, (small, large)
+
+
+@pytest.mark.parametrize("command", ["sort", "analyze"])
+def test_bad_line_in_a_later_block_leaves_no_output(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(core, "CORPUS_BLOCK_ROWS", 4)
+    infile = tmp_path / "sets.jsonl"
+    good = json.dumps({"tokens": [[0.5, 0.25], [0.25, 0.5]]})
+    lines = [good] * 5 + ['{"tokens": [[0.5, NaN], [0.25, 0.5]]}', good]  # line 6: the third block
+    infile.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--scheme", "lex", "--in", str(infile), "--report" if command == "analyze" else "--out",
+            str(out)]
+    message = f"tokensort: {infile}: line 6: TokenSet: all components must be finite (no NaN/Inf)\n"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert sorted(tmp_path.iterdir()) == [infile]
+    out.write_bytes(b"previous output\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
+    assert out.read_bytes() == b"previous output\n"
+    assert sorted(tmp_path.iterdir()) == [out, infile]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -14,6 +14,7 @@ from tokensort.datagen import (
     DegenerateInputError,
     PlanarGenConfig,
     _circumcircle,
+    _collapse_narrow_angles,
     _merge_close_nodes,
     delaunay,
     generate_planar_graph,
@@ -83,6 +84,13 @@ def test_delaunay_duplicates_warn_and_drop():
     with pytest.warns(UserWarning):
         tris = delaunay(pts)
     assert tris == [(0, 1, 2)]
+
+
+def test_delaunay_negative_zero_is_a_duplicate():
+    # -0.0 is the point 0.0: dropped with the warning, the first one kept
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-0.0, 0.0]]
+    with pytest.warns(UserWarning, match="duplicate"):
+        assert delaunay(pts) == [(0, 1, 3), (0, 2, 3)]
 
 
 def _empty_circumcircle_violations(pts, tris):
@@ -314,3 +322,50 @@ def test_merge_close_nodes_matches_union_find():
         ref_merged, ref_mapping = _union_find_merge(pts, min_dist)
         assert np.array_equal(merged, ref_merged)
         assert np.array_equal(mapping, ref_mapping)
+
+
+def _reference_collapse_narrow_angles(pts, edges, min_angle_rad):
+    # the former loop, kept as an oracle: every pass decides every pair again
+    length = {e: float(np.linalg.norm(pts[e[0]] - pts[e[1]])) for e in edges}
+    changed = True
+    while changed:
+        changed = False
+        for node in range(len(pts)):
+            incident = sorted(e for e in edges if node in e)
+            losers = []
+            for e1, e2 in itertools.combinations(incident, 2):
+                nu, nv = length[e1], length[e2]
+                if nu == 0 or nv == 0:
+                    continue
+                u = pts[e1[0] + e1[1] - node] - pts[node]
+                v = pts[e2[0] + e2[1] - node] - pts[node]
+                cos = float(np.dot(u, v) / (nu * nv))
+                if math.acos(min(1.0, max(-1.0, cos))) < min_angle_rad:
+                    losers.append(max(e1, e2, key=length.get))
+            if losers:
+                edges.discard(max(losers, key=length.get))
+                changed = True
+    return edges
+
+
+def test_collapse_narrow_angles_matches_reference_loop():
+    # uniform points; points on a grid of quarters (equal lengths, exact
+    # right and straight angles); and uniform points with some repeated,
+    # so that edges between them have length 0
+    rng = np.random.default_rng(23)
+    removed = 0
+    for k in range(3000):
+        n = int(rng.integers(2, 13))
+        pts = rng.uniform(size=(n, 2))
+        if k % 3 == 1:
+            pts = np.round(pts * 4) / 4
+        elif k % 3 == 2:
+            pts[rng.integers(0, n, size=n // 2)] = pts[0]
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = {pairs[i] for i in np.flatnonzero(rng.uniform(size=len(pairs)) < rng.uniform(0.2, 1.0))}
+        angle = math.radians(float(rng.choice([30.0, 60.0, 89.0])))
+        got = _collapse_narrow_angles(pts, set(edges), angle)
+        assert got == _reference_collapse_narrow_angles(pts, set(edges), angle), k
+        removed += len(edges) - len(got)
+    assert removed > 3000  # the loop removes edges, not only keeps them
+    assert _collapse_narrow_angles(np.zeros((3, 2)), set(), 0.5) == set()

@@ -140,6 +140,22 @@ def test_delaunay_script_prints_each_set_in_four_forms():
     assert repr(DegenerateInputError("all points collinear")) in lines[3::4]
 
 
+def test_planar_script_digests_generated_graphs():
+    tool = _load_tool()
+    src = str(Path(tool.ROOT) / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", tool.PLANAR_SCRIPT, "30"], env=env,
+                          capture_output=True, text=True, check=True)
+    # the same graphs in process give the same digest, by features and edges
+    h = hashlib.sha256()
+    for seed in range(30):
+        g = generate_planar_graph(PlanarGenConfig(seed=seed))
+        h.update(g.node_features.tobytes())
+        h.update(repr(g.edges).encode())
+    assert proc.stdout == h.hexdigest() + "\n"
+    assert tool.PLANAR_SEEDS == 2000  # the seeds of the digest the ROADMAP cites
+
+
 def test_analysis_script_digests_three_kernels_on_degenerate_profiles():
     tool = _load_tool()
     src = str(Path(tool.ROOT) / "src")

@@ -18,8 +18,9 @@ ragged 4-D sets, digested by its model file; `datagen.delaunay` on seeded
 point sets, collinear triples and duplicate points among them; and the
 analysis kernels `rank_probability_matrix`, `tridiagonal_P` and
 `swap_probability` on seeded latent profiles, zero variances and equal means
-among them. It compares the sha256 of every output, prints one line per
-output and exits 1 unless every digest matches.
+among them; and `generate_planar_graph` on seeds 0-1999, digested by node
+features and edges (the same at every seed). It compares the sha256 of every
+output, prints one line per output and exits 1 unless every digest matches.
 """
 from __future__ import annotations
 
@@ -93,6 +94,20 @@ for _ in range({DELAUNAY_SETS}):
             print(delaunay(p))
         except DegenerateInputError as exc:
             print(repr(exc))
+"""
+# argv[1]: a count; prints the sha256 of the node features and the edges of
+# the planar graphs generate_planar_graph makes for seeds 0 to count - 1; the
+# tool runs it at PLANAR_SEEDS, whose digest the ROADMAP cites
+PLANAR_SEEDS = 2000
+PLANAR_SCRIPT = """
+import hashlib, sys
+from tokensort.datagen import PlanarGenConfig, generate_planar_graph
+h = hashlib.sha256()
+for seed in range(int(sys.argv[1])):
+    g = generate_planar_graph(PlanarGenConfig(seed=seed))
+    h.update(g.node_features.tobytes())
+    h.update(repr(g.edges).encode())
+print(h.hexdigest())
 """
 # argv[1]: a seed; prints the sha256 of what three analysis kernels return on
 # ANALYSIS_PROFILES seeded latent profiles of 1-13 elements, one line a kernel:
@@ -179,9 +194,10 @@ def _sha256(path: Path) -> str:
 
 def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
              graphs: Path) -> dict[str, str]:
-    """Run every command, then SMD_SCRIPT and EDGE_TRAIN_SCRIPT on `graphs`
-    and DELAUNAY_SCRIPT and ANALYSIS_SCRIPT at `seed`, with the tokensort of
-    `tree`; output name -> sha256, or "exit <code>" for one that failed."""
+    """Run every command, then SMD_SCRIPT and EDGE_TRAIN_SCRIPT on `graphs`,
+    DELAUNAY_SCRIPT and ANALYSIS_SCRIPT at `seed` and PLANAR_SCRIPT at
+    PLANAR_SEEDS, with the tokensort of `tree`; output name -> sha256, or
+    "exit <code>" for one that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
@@ -196,7 +212,8 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
     scripts = (("smd", SMD_SCRIPT, graphs), ("train on edge tokens", EDGE_TRAIN_SCRIPT, graphs),
-               ("delaunay", DELAUNAY_SCRIPT, seed), ("analysis", ANALYSIS_SCRIPT, seed))
+               ("delaunay", DELAUNAY_SCRIPT, seed), ("analysis", ANALYSIS_SCRIPT, seed),
+               ("planar", PLANAR_SCRIPT, PLANAR_SEEDS))
     for name, script, arg in scripts:
         proc = subprocess.run([sys.executable, "-c", script, str(arg)], cwd=out, env=env,
                               capture_output=True)
