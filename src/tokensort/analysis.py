@@ -61,38 +61,40 @@ class LatentGaussianProfile:
         return self.means.shape[0]
 
 
-def _joined(sorted_keys: np.ndarray, tol: float) -> np.ndarray:
+def _joined(sorted_keys: np.ndarray) -> np.ndarray:
     """For each key after the first, whether it joins the group of the key
-    before it: the two are equal, infinite ones included, or within `tol`.
-    A NaN key joins no group."""
+    before it: the two are equal, infinite ones included, or within
+    DEFAULT_KEY_TOL. A NaN key joins no group."""
     k = sorted_keys
     with np.errstate(invalid="ignore"):  # inf - inf is NaN; equality joins them
-        return (k[1:] == k[:-1]) | (np.abs(np.diff(k)) <= tol)
+        return (k[1:] == k[:-1]) | (np.abs(np.diff(k)) <= DEFAULT_KEY_TOL)
 
 
-def ambiguity_sets(x: TokenSet, keys, tol: float = DEFAULT_KEY_TOL) -> list[list[int]]:
-    """Partition token indices by key equality within `tol`, closed transitively.
+def ambiguity_sets(x: TokenSet, keys) -> list[list[int]]:
+    """Partition token indices by key equality within DEFAULT_KEY_TOL, closed
+    transitively.
 
     The stably sorted keys are cut between neighbours that are neither equal
-    nor within `tol`, so a NaN key stays in a group of its own. Returns one
-    sorted index group per partition class, ordered by smallest member.
-    Exact duplicates in keys, infinite ones included, always land in the
-    same group.
+    nor within the tolerance, so a NaN key stays in a group of its own.
+    Returns one sorted index group per partition class, ordered by smallest
+    member. Exact duplicates in keys, infinite ones included, always land in
+    the same group. The CLI's `analyze` groups by the same rule (see
+    corpus_ambiguity_sets).
     """
     keys = np.asarray(keys, dtype=np.float64)
     m = x.size
     if keys.shape != (m,):
         raise ValueError(f"need {m} keys, got shape {keys.shape}")
     order = np.argsort(keys, kind="stable")
-    cuts = [0, *(np.flatnonzero(~_joined(keys[order], tol)) + 1).tolist(), m]
+    cuts = [0, *(np.flatnonzero(~_joined(keys[order])) + 1).tolist(), m]
     order = order.tolist()
     groups = [sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])]
     return sorted(groups, key=lambda g: g[0])
 
 
 def corpus_ambiguity_sets(corpus: SortedCorpus) -> list[list[list[int]]]:
-    """ambiguity_sets of every set of a sorted corpus, at DEFAULT_KEY_TOL,
-    over the sorted positions of the set, by the keys that ordered it.
+    """ambiguity_sets of every set of a sorted corpus, over the sorted
+    positions of the set, by the keys that ordered it.
 
     The keys are sorted within each set, so each group is a run of
     positions. An order without keys (lex) is strict on distinct tokens:
@@ -101,7 +103,7 @@ def corpus_ambiguity_sets(corpus: SortedCorpus) -> list[list[list[int]]]:
     keys = corpus.keys
     if keys is None:
         keys = np.concatenate([[0], np.cumsum(np.any(np.diff(corpus.rows, axis=0) != 0, axis=1))])
-    joined = _joined(keys, DEFAULT_KEY_TOL)
+    joined = _joined(keys)
     joined[corpus.starts[1:] - 1] = False  # no group crosses into the next set
     edges = [0, *(np.flatnonzero(~joined) + 1).tolist(), len(keys)]
     owner = set_ids(corpus.sizes)[edges[:-1]].tolist()
@@ -253,24 +255,24 @@ def neighbor_error_bound(y_star: SortedSequence, p: np.ndarray) -> tuple[float, 
     return exact, upper
 
 
-def empirical_constants(m: LatentSortModel, data: TokenSet, samples: int = 1000,
-                        seed: int = 0) -> dict[str, float]:
+def empirical_constants(m: LatentSortModel, data: TokenSet) -> dict[str, float]:
     """Sampled estimates of the encoder/decoder difference-quotient maxima and
     the reconstruction-error ceiling.
 
-    K_e: max |dh| / ||dx|| over random token pairs;
+    K_e: max |dh| / ||dx|| over 1000 token pairs drawn at seed 0, less those
+         of a token with itself;
     K_d: max ||d x_hat|| / |dh| over the same pairs' latents;
     B:   max ||x - decode(encode(x))|| over all tokens.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     x = data.values
     h = encode_batch(m, x)
     x_hat = decode_batch(m, h)
     b_hat = float(np.max(np.linalg.norm(x - x_hat, axis=1)))
 
     n = x.shape[0]
-    i = rng.integers(0, n, size=samples)
-    j = rng.integers(0, n, size=samples)
+    i = rng.integers(0, n, size=1000)
+    j = rng.integers(0, n, size=1000)
     keep = i != j
     i, j = i[keep], j[keep]
     dx = np.linalg.norm(x[i] - x[j], axis=1)

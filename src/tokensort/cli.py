@@ -45,7 +45,7 @@ from .latentsort import (
 )
 from .metrics import ehd, emd, set_prf, size_diff
 from .sorters import CORPUS_SCHEMES, mean_squared_keys
-from .tspbench import BenchConfig, run_tsp_benchmark
+from .tspbench import MAX_ENUM_POINTS, BenchConfig, run_tsp_benchmark
 
 
 class UsageError(Exception):
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=cmd_metrics)
 
     s = sub.add_parser("tsp-bench", help="open-path quality benchmark")
-    s.add_argument("--n", type=int, default=8)
+    s.add_argument("--n", type=int, default=8, choices=range(2, MAX_ENUM_POINTS + 1))
     s.add_argument("--runs", type=int, default=10)
     s.add_argument("--lgp", choices=["on", "off"], default="on")
     s.add_argument("--epochs", type=int, default=None)

@@ -61,7 +61,9 @@ def delaunay(points) -> list[tuple[int, int, int]]:
     Raises ValueError on a NaN or infinite coordinate, and
     DegenerateInputError on fewer than 3 distinct points or all-collinear
     input; exact duplicates are dropped with a warning (indices refer to the
-    originals).
+    originals). The points are scaled by a power of two first, which is
+    exact, so a set scaled by any factor gives the triangles it gives at
+    span ~1; a set far from the origin for its span can still be wrong.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -81,13 +83,17 @@ def delaunay(points) -> list[tuple[int, int, int]]:
     if len(keep) < 3:
         raise DegenerateInputError("need at least 3 distinct points")
 
+    # scaled by the power of two that puts the span in [0.5, 1): exact, and
+    # it makes the absolute PREDICATE_TOL relative to the span, so that a
+    # set's triangles do not depend on its scale
+    lo, hi = pts[keep].min(axis=0), pts[keep].max(axis=0)
+    shift = -int(np.frexp((hi - lo).max())[1])
+    pts, lo, hi = (np.ldexp(a, shift) for a in (pts, lo, hi))
     # super-triangle far enough out that its vertices stay outside the
     # circumcircles of thin triangles along the hull; at 20 * span those
     # slivers were lost on about 1 in 10 uniform sets
-    lo, hi = pts[keep].min(axis=0), pts[keep].max(axis=0)
-    span = max(float((hi - lo).max()), 1.0)
     cx, cy = (lo + hi) / 2.0
-    big = 1e6 * span
+    big = 1e6  # 1e6 x the largest scaled span
     coords = {-1: (cx - big, cy - big), -2: (cx + big, cy - big), -3: (cx, cy + big)}
     coords |= {i: tuple(pts[i].tolist()) for i in keep}
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SortedCorpus, SortedSequence, TokenSet, atomic_write, by_set_size, set_ids
+from .core import SortedCorpus, SortedSequence, TokenSet, _json_numbers, atomic_write, by_set_size, set_ids
 
 MODEL_FORMAT_VERSION = 1
 
@@ -25,6 +25,9 @@ MODEL_FORMAT_VERSION = 1
 # reconstruction hardly learns.
 LGP_ALPHA = 1.0
 LGP_BETA = 0.1
+
+# the widths of the encoder's and the decoder's hidden layers, unless given
+HIDDEN_SIZES = (64, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,7 @@ class LatentSortModel:
         return self.encoder.params() + self.decoder.params()
 
 
-def init_model(n: int, hidden_sizes=(64, 64), seed: int = 0) -> LatentSortModel:
+def init_model(n: int, hidden_sizes=HIDDEN_SIZES, seed: int = 0) -> LatentSortModel:
     """Deterministic model initialization for token dimension n."""
     if n < 1 or any(h < 1 for h in hidden_sizes):
         raise ValueError("token dimension and hidden sizes must be positive")
@@ -227,9 +230,10 @@ def reconstruction_loss(x: np.ndarray, x_hat: np.ndarray):
     return float(np.sum(diff * diff) * scale), 2.0 * diff * scale
 
 
-def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, sizes, alpha: float, beta: float):
+def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, sizes):
     """LGP of consecutive token sets of the given sizes, each sorted by latent:
-    xs (T, N) tokens and hs (T,) latents, set after set.
+    xs (T, N) tokens and hs (T,) latents, set after set, at LGP_ALPHA and
+    LGP_BETA.
 
     Every consecutive pair of rows is a term, and a pair that spans two sets
     is exactly +0.0 in loss and gradient. Returns per-set losses (len(sizes),)
@@ -241,8 +245,8 @@ def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, sizes, alpha: float, beta: float
     diff = xs[:-1] - xs[1:]
     d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     h_left, h_right = hs[:-1], hs[1:]
-    denom = np.abs(h_left - h_right) + beta
-    g = d / denom - alpha
+    denom = np.abs(h_left - h_right) + LGP_BETA
+    g = d / denom - LGP_ALPHA
     # d(2 g^2)/ds, chained through s = |h_i - h_{i+1}|
     dl_ds = -4.0 * g * d / (denom * denom)
     dl_dh = np.where(h_left >= h_right, dl_ds, -dl_ds)
@@ -258,22 +262,23 @@ def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, sizes, alpha: float, beta: float
 
 def _lgp_batch(x: np.ndarray, h: np.ndarray, sizes: list[int]):
     """LGP of consecutive token sets of the given sizes in x (T, N) with
-    latents h (T,), at LGP_ALPHA and LGP_BETA. One stable sort of the rows by
-    set, then latent, ranks each set by its latents, and only consecutive
-    pairs of that order are penalized. Returns the sum of the set losses,
-    added in set order, and the gradient w.r.t. h (T,).
+    latents h (T,). One stable sort of the rows by set, then latent, ranks
+    each set by its latents, and only consecutive pairs of that order are
+    penalized. Returns the sum of the set losses, added in set order, and the
+    gradient w.r.t. h (T,).
     """
     order = np.lexsort((h, set_ids(sizes)))
-    losses, grad = _lgp_sorted(x[order], h[order], sizes, LGP_ALPHA, LGP_BETA)
+    losses, grad = _lgp_sorted(x[order], h[order], sizes)
     grad_h = np.empty_like(grad)
     grad_h[order] = grad
     return float(np.cumsum(losses)[-1]), grad_h  # cumsum adds in order; sum() would not
 
 
-def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: float):
+def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray):
     """Loss and gradient w.r.t. the sorted latents.
 
-    For each consecutive pair, g = ||x_i - x_{i+1}|| / (|h_i - h_{i+1}| + beta) - alpha.
+    For each consecutive pair, with alpha = LGP_ALPHA and beta = LGP_BETA,
+    g = ||x_i - x_{i+1}|| / (|h_i - h_{i+1}| + beta) - alpha.
     Each unordered pair appears twice in the symmetric double sum, so the
     returned loss is sum(2 * g^2).
 
@@ -282,9 +287,9 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
     tied latent scores at most 2 * (d / beta - alpha)^2. The penalty is zero
     at gap d / alpha - beta, and pairs closer than alpha * beta are drawn
     together rather than apart. This is the one-set case of _lgp_sorted, which
-    training runs on a whole batch at LGP_ALPHA and LGP_BETA (see _lgp_batch).
+    training runs on a whole batch (see _lgp_batch).
     """
-    losses, grad_h = _lgp_sorted(x_sorted, h_sorted, [len(h_sorted)], alpha, beta)
+    losses, grad_h = _lgp_sorted(x_sorted, h_sorted, [len(h_sorted)])
     return float(losses[0]), grad_h
 
 
@@ -293,22 +298,25 @@ def lgp_terms(x_sorted: np.ndarray, h_sorted: np.ndarray, alpha: float, beta: fl
 # ---------------------------------------------------------------------------
 
 
+# token sets per training step; the last step of an epoch takes the rest
+BATCH_SIZE = 64
+
+
 @dataclass
 class TrainConfig:
-    """Training hyperparameters. The LGP terms (see lgp_terms, at LGP_ALPHA
-    and LGP_BETA) are weighted by lgp_coefficient."""
+    """Training hyperparameters. The LGP terms (see lgp_terms) are weighted
+    by lgp_coefficient."""
 
     epochs: int = 200
-    batch_size: int = 64
     lgp_coefficient: float = 0.05
     seed: int = 0
-    hidden_sizes: tuple = (64, 64)
+    hidden_sizes: tuple = HIDDEN_SIZES
 
     def validate(self) -> None:
         if not 0 <= self.lgp_coefficient < math.inf:  # also rejects NaN
             raise ValueError(f"require a finite lgp_coefficient >= 0, got {self.lgp_coefficient}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
 
 PEAK_LR = 1e-3
@@ -444,11 +452,11 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     model = init_model(n, cfg.hidden_sizes, seed=cfg.seed)
     arrays = [ts.values for ts in data]
     # the largest row count a batch can have: its sets are the largest ones
-    max_rows = sum(sorted((len(a) for a in arrays), reverse=True)[: cfg.batch_size])
+    max_rows = sum(sorted((len(a) for a in arrays), reverse=True)[:BATCH_SIZE])
     params, grads, buffers = _train_buffers(model, max_rows)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    steps_per_epoch = math.ceil(len(arrays) / cfg.batch_size)
+    steps_per_epoch = math.ceil(len(arrays) / BATCH_SIZE)
     total_steps = cfg.epochs * steps_per_epoch
     adam = AdamState(params)
     history: list[dict] = []
@@ -458,7 +466,7 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
         perm = rng.permutation(len(arrays))
         recon_sum = lgp_sum = 0.0
         for b in range(steps_per_epoch):
-            batch = [arrays[i] for i in perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
+            batch = [arrays[i] for i in perm[b * BATCH_SIZE : (b + 1) * BATCH_SIZE]]
             recon, lgp, _ = batch_losses_and_grads(model, batch, cfg, buffers)
             if not (math.isfinite(recon) and math.isfinite(lgp)):
                 raise RuntimeError(
@@ -523,9 +531,8 @@ def _mlp_from_obj(obj: dict, n_in: int, n_out: int) -> Mlp:
         b = np.asarray(b_obj, dtype=np.float64)
         if w.shape not in ((rows * cols,), (rows, cols)) or b.shape != (cols,):
             raise ValueError(f"layer {l}: shapes {w.shape}/{b.shape} disagree with layer_sizes {(rows, cols)}")
-        values = b_obj + (w_obj if w.ndim == 1 else [x for row in w_obj for x in row])
-        if not all(type(x) in (int, float) for x in values):  # numpy reads true and "1" as numbers
-            raise ValueError(f"layer {l}: parameters must be JSON numbers")
+        _json_numbers([w_obj] if w.ndim == 1 else w_obj, "weights")
+        _json_numbers([b_obj], "biases")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError(f"layer {l}: non-finite parameters")
         weights.append(w.reshape(rows, cols))

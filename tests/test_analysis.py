@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from scipy.stats import poisson_binom
 
 from tokensort.analysis import (
+    DEFAULT_KEY_TOL,
     LatentGaussianProfile,
     ambiguity_error,
     ambiguity_sets,
@@ -94,16 +95,17 @@ def test_ambiguity_sets_summation_keys():
 def test_ambiguity_sets_transitive_closure():
     # chain 0 ~ 1 ~ 2 under tol even though |k0 - k2| > tol
     ts = TokenSet(np.zeros((3, 1)))
-    keys = np.array([0.0, 0.5e-9, 1.0e-9])
-    groups = ambiguity_sets(ts, keys, tol=0.6e-9)
+    keys = np.array([0.0, 0.6, 1.2]) * DEFAULT_KEY_TOL
+    assert keys[2] - keys[0] > DEFAULT_KEY_TOL
+    groups = ambiguity_sets(ts, keys)
     assert groups == [[0, 1, 2]]
 
 
 def test_ambiguity_sets_chained_ties_and_nan():
-    tol = 1e-3
+    tol = DEFAULT_KEY_TOL
     a = 0.25
     keys = np.array([a + 1.2 * tol, np.nan, 2.0, a, 2.0, np.nan, a + 0.6 * tol, 5.0])
-    groups = ambiguity_sets(TokenSet(np.zeros((8, 1))), keys, tol=tol)
+    groups = ambiguity_sets(TokenSet(np.zeros((8, 1))), keys)
     assert groups == [[0, 3, 6], [1], [2, 4], [5], [7]]
     assert all(type(i) is int for g in groups for i in g)
 
@@ -113,13 +115,14 @@ def test_ambiguity_sets_chained_ties_and_nan():
 def test_ambiguity_sets_match_union_find(seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 25))
-    tol = 0.1
-    # a coarse grid plus sub-tol jitter gives exact ties, chains and clean gaps
-    keys = rng.integers(0, 6, size=m) * rng.choice([0.05, 0.08, 0.2]) \
-        + rng.choice([0.0, 0.06], size=m)
+    tol = DEFAULT_KEY_TOL
+    # a coarse grid plus sub-tol jitter, in units of tol, gives exact ties,
+    # chains and clean gaps
+    keys = (rng.integers(0, 6, size=m) * rng.choice([0.5, 0.8, 2.0])
+            + rng.choice([0.0, 0.6], size=m)) * tol
     keys[rng.uniform(size=m) < 0.1] = np.nan
     keys[rng.uniform(size=m) < 0.05] = rng.choice([np.inf, -np.inf])
-    groups = ambiguity_sets(TokenSet(np.zeros((m, 1))), keys, tol=tol)
+    groups = ambiguity_sets(TokenSet(np.zeros((m, 1))), keys)
     assert groups == _union_find_groups(keys, tol)
 
 
@@ -449,6 +452,6 @@ def test_neighbor_bound_rejects_non_tridiagonal():
 def test_empirical_constants_shapes():
     m = init_model(2, hidden_sizes=(8,), seed=0)
     data = TokenSet(np.random.default_rng(0).uniform(size=(50, 2)))
-    out = empirical_constants(m, data, samples=200, seed=1)
+    out = empirical_constants(m, data)
     assert set(out) == {"K_e", "K_d", "B"}
     assert all(v >= 0 for v in out.values())

@@ -287,6 +287,11 @@ def test_tsp_bench_csv(tmp_path):
      2, "--seed must be >= 0, got -1"),
     (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "-3", "--out", "{out}"],
      2, "--train-sets must be >= 0, got -3"),
+    # sets of 2 to tspbench.MAX_ENUM_POINTS points are the ones that can be scored
+    (["tsp-bench", "--n", "1", "--runs", "1", "--epochs", "1", "--out", "{out}"],
+     2, "argument --n: invalid choice: 1 ("),
+    (["tsp-bench", "--n", "11", "--runs", "1", "--epochs", "1", "--out", "{out}"],
+     2, "argument --n: invalid choice: 11 ("),
     # the path given, not the temporary file beside it
     (["sort", "--scheme", "lex", "--in", "{sets}", "--out", "{tmp}/missing/o.jsonl"],
      1, "missing/o.jsonl'"),
@@ -301,7 +306,8 @@ def test_tsp_bench_csv(tmp_path):
      1, "Is a directory: '{taken}'"),
 ], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
         "negative-seed", "train-latent-negative-seed", "tsp-bench-negative-seed",
-        "negative-train-sets", "missing-directory", "res-huge", "history-is-directory", "out-is-directory"])
+        "negative-train-sets", "tsp-bench-n-1", "tsp-bench-n-11", "missing-directory", "res-huge",
+        "history-is-directory", "out-is-directory"])
 def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

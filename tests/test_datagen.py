@@ -140,6 +140,19 @@ def test_delaunay_matches_scipy_in_general_position():
         assert delaunay(pts) == ref
 
 
+def test_delaunay_matches_scipy_at_every_scale():
+    # PREDICATE_TOL is absolute, so unscaled small sets once gave other
+    # triangles (at 1e-5) or raised "all points collinear" (at 1e-7)
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(0)
+    sets = [rng.uniform(size=(12, 2)) for _ in range(50)]
+    for exponent in range(-12, 7):
+        for pts in sets:
+            scaled = pts * 10.0 ** exponent
+            ref = sorted(tuple(sorted(t)) for t in spatial.Delaunay(scaled).simplices.tolist())
+            assert delaunay(scaled) == ref, exponent
+
+
 def _reference_delaunay(points):
     """The former Bowyer-Watson loop, kept as a reference: every triangle's
     circle is recomputed for every point, by in_circumcircle, and a collinear

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,6 +79,29 @@ def test_commands_cover_every_scheme_and_output(tmp_path):
     outs = [argv[argv.index("--report" if name.startswith("analyze") else "--out") + 1]
             for name, argv in cmds.items()]
     assert len(set(outs)) == len(outs)
+
+
+def test_planar_script_runs_once_per_invocation(monkeypatch, capsys):
+    # its output takes no seed, so only the first seed's sides run it
+    tool = _load_tool()
+    assert [name for name, _, _ in tool.scripts(0, Path("g"), planar=False)] == [
+        "smd", "train on edge tokens", "delaunay", "analysis"]
+    assert tool.scripts(0, Path("g"), planar=True)[-1] == ("planar", tool.PLANAR_SCRIPT, tool.PLANAR_SEEDS)
+    calls = []
+
+    def run_side(tree, corpus, snapped, out, seed, graphs, planar):
+        calls.append((tree.name, seed, planar))
+        return {name: "aa" for name, _, _ in tool.scripts(seed, graphs, planar)}
+
+    monkeypatch.setattr(tool, "run_side", run_side)
+    monkeypatch.setattr(tool, "_bench_pairs", lambda: SimpleNamespace(
+        working_tree_commit=lambda: "HEAD", extract=lambda rev, tree: None))
+    assert tool.main(["--base", "HEAD", "--seeds", "0", "41", "7"]) == 0
+    assert calls == [("base", 0, True), ("head", 0, True), ("base", 41, False), ("head", 41, False),
+                     ("base", 7, False), ("head", 7, False)]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "planar" in line] == ["seed 0 planar: same"]
+    assert lines[-1] == "13 of 13 outputs identical"
 
 
 def test_snapped_corpus_is_the_corpus_on_the_grid(tmp_path):

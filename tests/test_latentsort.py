@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tokensort import latentsort
 from tokensort.core import TokenSet
 from tokensort.latentsort import (
     FINAL_LR,
@@ -105,26 +106,26 @@ def test_lgp_gradient_direct():
         msize = int(rng.integers(3, 7))
         x = rng.uniform(size=(msize, int(rng.integers(2, 4))))
         h = np.cumsum(0.5 + rng.uniform(size=msize))
-        _, gh = lgp_terms(x, h, 1.0, 1e-6)
+        _, gh = lgp_terms(x, h)
         for i in range(msize):
             hp = h.copy()
             hp[i] += FD_STEP
             hm = h.copy()
             hm[i] -= FD_STEP
-            fd = (lgp_terms(x, hp, 1.0, 1e-6)[0]
-                  - lgp_terms(x, hm, 1.0, 1e-6)[0]) / (2 * FD_STEP)
+            fd = (lgp_terms(x, hp)[0] - lgp_terms(x, hm)[0]) / (2 * FD_STEP)
             worst = max(worst, abs(fd - gh[i]) / max(abs(fd), abs(gh[i]), 1e-8))
     assert worst < 1e-4
 
 
 def test_lgp_zero_when_gaps_match_distances():
-    # colinear points with latent gaps equal to distances: every g term is 0
+    # colinear points whose latent gaps plus beta equal their distances over
+    # alpha: every g term is 0 up to rounding
     x = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-    h = np.array([0.0, 1.0, 3.0])
-    loss, gh = lgp_terms(x, h, 1.0, 1e-6)
-    assert loss < 1e-10
-    # beta keeps each g at about -1e-6 instead of exactly zero
-    assert np.allclose(gh, 0.0, atol=1e-5)
+    gaps = np.array([1.0, 2.0]) / LGP_ALPHA - LGP_BETA
+    h = np.concatenate([[0.0], np.cumsum(gaps)])
+    loss, gh = lgp_terms(x, h)
+    assert loss < 1e-20
+    assert np.allclose(gh, 0.0, atol=1e-12)
 
 
 def test_lgp_tied_pair_bounded_at_default_beta():
@@ -132,7 +133,7 @@ def test_lgp_tied_pair_bounded_at_default_beta():
     # case; a beta that only guards the division (1e-6) scores this pair
     # ~4e12, and such spikes swamp Adam's second moment during training
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
-    loss, _ = lgp_terms(x, np.zeros(2), LGP_ALPHA, LGP_BETA)
+    loss, _ = lgp_terms(x, np.zeros(2))
     assert loss < 1e3
 
 
@@ -219,15 +220,15 @@ def test_train_deterministic():
     assert h1 == h2
 
 
-def test_train_history_and_convergence():
+def test_train_history_and_convergence(monkeypatch):
     # tokens on a line: a 1-D bottleneck can reconstruct them almost exactly
     rng = np.random.default_rng(5)
     data = []
     for _ in range(200):
         t = rng.uniform(size=(6, 1))
         data.append(TokenSet(np.hstack([t, 2 * t])))
-    cfg = TrainConfig(epochs=120, hidden_sizes=(32,), lgp_coefficient=0.0,
-                      batch_size=16, seed=0)
+    monkeypatch.setattr(latentsort, "BATCH_SIZE", 16)
+    cfg = TrainConfig(epochs=120, hidden_sizes=(32,), lgp_coefficient=0.0, seed=0)
     model, hist = train(data, cfg)
     assert len(hist) == 120
     assert hist[-1]["recon"] < 1e-3
@@ -373,11 +374,12 @@ def _ref_adam_update(state, params, grads, lr):
 def _ref_train(data, cfg):
     """train with the reference step: separate parameter arrays, fresh
     temporaries in every pass and Adam array by array."""
+    batch_size = latentsort.BATCH_SIZE
     n = data[0].dim
     model = init_model(n, cfg.hidden_sizes, seed=cfg.seed)
     arrays = [ts.values for ts in data]
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    steps_per_epoch = max(1, math.ceil(len(arrays) / cfg.batch_size))
+    steps_per_epoch = max(1, math.ceil(len(arrays) / batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     params = model.params()
     adam = {"t": 0, "m": [np.zeros_like(p) for p in params], "v": [np.zeros_like(p) for p in params]}
@@ -388,7 +390,7 @@ def _ref_train(data, cfg):
         perm = rng.permutation(len(arrays))
         recon_sum = lgp_sum = 0.0
         for b in range(steps_per_epoch):
-            idx = perm[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            idx = perm[b * batch_size : (b + 1) * batch_size]
             if idx.size == 0:
                 continue
             recon, lgp, grads = _loop_losses_and_grads(model, [arrays[i] for i in idx], cfg)
@@ -444,13 +446,13 @@ def test_lgp_terms_matches_loop_oracle():
     for msize in range(29):
         x = rng.uniform(size=(msize, 4))
         for h in (np.sort(np.round(rng.normal(size=msize) * 3) / 3), np.zeros(msize)):
-            loss, gh = lgp_terms(x, h, 1.0, 0.1)
-            ref_loss, ref_gh = _loop_lgp_terms(x, h, 1.0, 0.1)
+            loss, gh = lgp_terms(x, h)
+            ref_loss, ref_gh = _loop_lgp_terms(x, h, LGP_ALPHA, LGP_BETA)
             assert loss.hex() == ref_loss.hex()
             assert gh.shape == (msize,) and gh.tobytes() == ref_gh.tobytes()
     # no pair: no loss and a zero gradient, for no token and for one
     for msize in (0, 1):
-        loss, gh = lgp_terms(np.ones((msize, 2)), np.ones(msize), 1.0, 0.1)
+        loss, gh = lgp_terms(np.ones((msize, 2)), np.ones(msize))
         assert (loss.hex(), gh.tobytes()) == ((0.0).hex(), np.zeros(msize).tobytes())
 
 
@@ -470,7 +472,7 @@ def test_batch_losses_and_grads_match_loop_oracle():
         assert total_loss(m, sets, cfg) == ref_recon + cfg.lgp_coefficient * (ref_total / len(sets))
 
 
-def test_train_matches_loop_oracle(tmp_path):
+def test_train_matches_loop_oracle(tmp_path, monkeypatch):
     rng = np.random.default_rng(24)
     # equal-size 2-D sets, then ragged 4-D sets with grid-snapped ties: the
     # second run's batches have other row counts, so buffers left over from
@@ -479,8 +481,9 @@ def test_train_matches_loop_oracle(tmp_path):
         [TokenSet(rng.uniform(size=(8, 2))) for _ in range(40)],
         [TokenSet(s) for s in _ragged_sets(rng, 40, 4)] + [TokenSet(s) for s in _ragged_sets(rng, 10, 4, snap=2)],
     ]
+    monkeypatch.setattr(latentsort, "BATCH_SIZE", 16)  # several steps an epoch, the last one short
     for k, data in enumerate(corpora):
-        cfg = TrainConfig(epochs=2, batch_size=16, hidden_sizes=(12, 8), seed=3 + k)
+        cfg = TrainConfig(epochs=2, hidden_sizes=(12, 8), seed=3 + k)
         model, hist = train(data, cfg)
         ref_model, ref_hist = _ref_train(data, cfg)
         assert hist == ref_hist

@@ -18,9 +18,10 @@ ragged 4-D sets, digested by its model file; `datagen.delaunay` on seeded
 point sets, collinear triples and duplicate points among them; and the
 analysis kernels `rank_probability_matrix`, `tridiagonal_P` and
 `swap_probability` on seeded latent profiles, zero variances and equal means
-among them; and `generate_planar_graph` on seeds 0-1999, digested by node
-features and edges (the same at every seed). It compares the sha256 of every
-output, prints one line per output and exits 1 unless every digest matches.
+among them; and, with the first seed only, since it takes no seed,
+`generate_planar_graph` on seeds 0-1999, digested by node features and edges.
+It compares the sha256 of every output, prints one line per output and exits
+1 unless every digest matches.
 """
 from __future__ import annotations
 
@@ -192,12 +193,20 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def scripts(seed: int, graphs: Path, planar: bool) -> list[tuple[str, str, object]]:
+    """(output name, script, its argument) of each script a side runs:
+    SMD_SCRIPT and EDGE_TRAIN_SCRIPT on `graphs`, DELAUNAY_SCRIPT and
+    ANALYSIS_SCRIPT at `seed`, and with `planar` PLANAR_SCRIPT at
+    PLANAR_SEEDS, whose output is the same at every seed."""
+    runs = [("smd", SMD_SCRIPT, graphs), ("train on edge tokens", EDGE_TRAIN_SCRIPT, graphs),
+            ("delaunay", DELAUNAY_SCRIPT, seed), ("analysis", ANALYSIS_SCRIPT, seed)]
+    return runs + [("planar", PLANAR_SCRIPT, PLANAR_SEEDS)] if planar else runs
+
+
 def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
-             graphs: Path) -> dict[str, str]:
-    """Run every command, then SMD_SCRIPT and EDGE_TRAIN_SCRIPT on `graphs`,
-    DELAUNAY_SCRIPT and ANALYSIS_SCRIPT at `seed` and PLANAR_SCRIPT at
-    PLANAR_SEEDS, with the tokensort of `tree`; output name -> sha256, or
-    "exit <code>" for one that failed."""
+             graphs: Path, planar: bool) -> dict[str, str]:
+    """Run every command, then the scripts, with the tokensort of `tree`;
+    output name -> sha256, or "exit <code>" for one that failed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     digests = {}
@@ -211,10 +220,7 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
         digests[name] = _sha256(target)
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
-    scripts = (("smd", SMD_SCRIPT, graphs), ("train on edge tokens", EDGE_TRAIN_SCRIPT, graphs),
-               ("delaunay", DELAUNAY_SCRIPT, seed), ("analysis", ANALYSIS_SCRIPT, seed),
-               ("planar", PLANAR_SCRIPT, PLANAR_SEEDS))
-    for name, script, arg in scripts:
+    for name, script, arg in scripts(seed, graphs, planar):
         proc = subprocess.run([sys.executable, "-c", script, str(arg)], cwd=out, env=env,
                               capture_output=True)
         digests[name] = (hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0
@@ -270,7 +276,7 @@ def main(argv=None) -> int:
             trees[side].mkdir()
             bench_pairs.extract(rev, trees[side])
         results = {}
-        for seed in args.seeds:
+        for k, seed in enumerate(args.seeds):
             corpus = workdir / f"corpus-{seed}.jsonl"
             snapped = workdir / f"snapped-{seed}.jsonl"
             write_corpus(corpus, seed)
@@ -280,7 +286,7 @@ def main(argv=None) -> int:
             for side, tree in trees.items():  # base first: it writes `graphs`
                 out = workdir / f"out-{side}-{seed}"
                 out.mkdir()
-                digests[side] = run_side(tree, corpus, snapped, out, seed, graphs)
+                digests[side] = run_side(tree, corpus, snapped, out, seed, graphs, planar=k == 0)
             results[seed] = compare(digests["base"], digests["head"])
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
