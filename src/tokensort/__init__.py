@@ -12,7 +12,6 @@ from .core import (
     Graph,
     SortedSequence,
     TokenSet,
-    edge_token,
     read_graphs,
     read_token_sets,
     tokenize_edges,

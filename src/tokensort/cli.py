@@ -82,11 +82,11 @@ def _write_csv(path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _require_non_negative(args, *names: str) -> None:
-    """UsageError naming the first of the options `names` given a negative value."""
+def _require_at_least(args, low: int, *names: str) -> None:
+    """UsageError naming the first of the options `names` given a value below `low`."""
     for name in names:
-        if (value := getattr(args, name)) is not None and value < 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+        if (value := getattr(args, name)) is not None and value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
 def cmd_sort(args) -> int:
@@ -96,7 +96,7 @@ def cmd_sort(args) -> int:
 
 
 def cmd_train_latent(args) -> int:
-    _require_non_negative(args, "seed")
+    _require_at_least(args, 0, "epochs", "seed")
     sets = read_token_sets(args.infile)
     cfg = TrainConfig(epochs=args.epochs, lgp_coefficient=args.lgp, seed=args.seed)
     model, history = train(sets, cfg)
@@ -206,7 +206,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_tsp_bench(args) -> int:
-    _require_non_negative(args, "train_sets", "seed")
+    _require_at_least(args, 0, "epochs", "train_sets", "seed")
+    _require_at_least(args, 1, "runs")
     cfg = BenchConfig(set_size=args.n, n_runs=args.runs,
                       use_lgp=args.lgp == "on", seed=args.seed)
     if args.epochs is not None:
@@ -221,7 +222,7 @@ def cmd_tsp_bench(args) -> int:
 
 
 def cmd_gen_planar(args) -> int:
-    _require_non_negative(args, "count", "seed")
+    _require_at_least(args, 0, "count", "seed")
     write_graphs(args.out, (generate_planar_graph(PlanarGenConfig(seed=args.seed * 1000 + k))
                             for k in range(args.count)))
     return 0

@@ -232,18 +232,20 @@ class Graph:
         return self.node_features.shape[1]
 
 
-def edge_token(g: Graph, u: int, v: int) -> np.ndarray:
-    """Concatenated endpoint features of one edge, in stored (canonical) order."""
-    return np.concatenate([g.node_features[u], g.node_features[v]])
-
-
 def tokenize_edges(g: Graph) -> TokenSet:
-    """One token per edge: the concatenation of the two endpoint feature
-    vectors (dimension 2 * node_dim)."""
+    """One token per edge, in stored order: the feature vectors of its two
+    endpoints, in stored order, concatenated (dimension 2 * node_dim)."""
     if g.n_edges == 0:
         raise ValueError("empty graph tokenization")
-    rows = np.stack([edge_token(g, u, v) for u, v in g.edges])
-    return TokenSet(rows)
+    return TokenSet(g.node_features[np.array(g.edges)].reshape(g.n_edges, 2 * g.node_dim))
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of each vector of u with the same one of v, along the
+    last axis, by the BLAS dot that np.dot of two 1-D vectors takes: each
+    equals that np.dot bit for bit, so np.sqrt(_dots(d, d)) is a 1-D
+    np.linalg.norm of each d."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import Graph
+from .core import Graph, _dots
 
 PREDICATE_TOL = 1e-12
 
@@ -120,13 +120,6 @@ def delaunay(points) -> list[tuple[int, int, int]]:
     if not result:
         raise DegenerateInputError("all points collinear")
     return sorted(result)
-
-
-def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The dot product of each vector of u with the same one of v, along the
-    last axis, by the BLAS dot that np.dot of two 1-D vectors takes: each
-    equals that np.dot bit for bit."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _merge_close_nodes(pts: np.ndarray, min_dist: float):

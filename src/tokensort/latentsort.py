@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SortedCorpus, SortedSequence, TokenSet, _json_numbers, atomic_write, by_set_size, set_ids
+from .core import (SortedCorpus, SortedSequence, TokenSet, _dots, _json_numbers, atomic_write,
+                   by_set_size, set_ids)
 
 MODEL_FORMAT_VERSION = 1
 
@@ -243,7 +244,7 @@ def _lgp_sorted(xs: np.ndarray, hs: np.ndarray, sizes):
     """
     ids = set_ids(sizes)
     diff = xs[:-1] - xs[1:]
-    d = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    d = np.sqrt(_dots(diff, diff))
     h_left, h_right = hs[:-1], hs[1:]
     denom = np.abs(h_left - h_right) + LGP_BETA
     g = d / denom - LGP_ALPHA
@@ -438,8 +439,9 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     """Train a latent-sort model on a corpus of token sets.
 
     Returns (model, history) where history has one entry per epoch:
-    {"epoch", "recon", "lgp", "lr"}. Fully deterministic given cfg.seed.
-    Aborts with a diagnostic if the loss turns non-finite.
+    {"epoch", "recon", "lgp", "lr"}. Fully deterministic given cfg.seed and
+    the BLAS thread count. Aborts with a diagnostic if the loss turns
+    non-finite.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()

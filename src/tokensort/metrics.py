@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Graph, TokenSet
+from .core import Graph, TokenSet, tokenize_edges
 
 
 class SinkhornError(RuntimeError):
@@ -75,8 +75,8 @@ def sample_edge_points(g: Graph, samples: int) -> np.ndarray:
         raise ValueError("graph has no edges to sample")
     if g.node_dim != 2:
         raise ValueError("edge sampling requires 2-D node coordinates")
-    starts = np.stack([g.node_features[u] for u, _ in g.edges])
-    ends = np.stack([g.node_features[v] for _, v in g.edges])
+    tokens = tokenize_edges(g).values
+    starts, ends = tokens[:, :2], tokens[:, 2:]
     lengths = np.linalg.norm(ends - starts, axis=1)
     total = float(lengths.sum())
     if total == 0.0:

@@ -51,3 +51,35 @@ def test_summary_higher_is_better_ties_and_incomplete_pairs():
     assert entry["better"] == "higher"
     assert not entry["gap_exceeds_base_iqr"]  # medians equal
     assert "path-n8" not in out  # its only pair lacks the head run
+
+
+def test_summary_flags_bound_breaches_and_unresolved_spreads():
+    tool = _load_tool()
+    steady = [1.00, 1.01, 0.99, 1.00, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00]
+    noisy = [0.70, 1.30, 0.80, 1.20, 1.00, 0.75, 1.25, 0.90, 1.10, 1.00]
+    runs = _runs("graph-edges", steady, [1.30] * 10)  # 30% slower, base spread 2%
+    runs += _runs("path-n8", steady, [1.20] * 10)  # 20% slower
+    both = _runs("sort-analyze", noisy, [1.00] * 10)  # equal medians, base spread ~40%
+    for run, rate in zip(both, _runs("sort-analyze", [100.0] * 10, [70.0] * 10, metric="sort_sets_per_s")):
+        run["metrics"].update(rate["metrics"])
+    runs += both
+    better = {"round_s": "lower", "sort_sets_per_s": "higher"}
+    out = tool.summarize(runs, better, {"round_s": 0.25, "sort_sets_per_s": 0.25})
+    flags = {(w, m): (e["bound"], e["beyond_bound"], e["unresolved"])
+             for w, metrics in out.items() for m, e in metrics.items()}
+    assert flags == {
+        ("graph-edges", "round_s"): (0.25, True, False),
+        ("path-n8", "round_s"): (0.25, False, False),
+        ("sort-analyze", "round_s"): (0.25, False, True),
+        # a higher-is-better metric is worse when it falls
+        ("sort-analyze", "sort_sets_per_s"): (0.25, True, False),
+    }
+    # a metric without a bound is not checked against one
+    plain = tool.summarize(runs, better)["graph-edges"]["round_s"]
+    assert "beyond_bound" not in plain and "unresolved" not in plain
+
+
+def test_benchmark_rules_read_bounds_of_end_to_end_metrics():
+    better, bounds = _load_tool().benchmark_rules()
+    assert bounds == {"setup_s": 0.25, "peak_rss_mb": 0.1, "round_s": 0.25}
+    assert better["round_s"] == "lower" and better["train_sets_per_s"] == "higher"

@@ -287,6 +287,14 @@ def test_tsp_bench_csv(tmp_path):
      2, "--seed must be >= 0, got -1"),
     (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "-3", "--out", "{out}"],
      2, "--train-sets must be >= 0, got -3"),
+    # rejected before the corpus is read or a model trained
+    (["train-latent", "--in", "{sets}", "--epochs", "-1", "--out", "{out}"], 2, "--epochs must be >= 0, got -1"),
+    (["train-latent", "--in", "{tmp}/missing.jsonl", "--epochs", "-1", "--out", "{out}"],
+     2, "--epochs must be >= 0, got -1"),
+    (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "-2", "--out", "{out}"],
+     2, "--epochs must be >= 0, got -2"),
+    (["tsp-bench", "--n", "5", "--runs", "0", "--epochs", "1", "--out", "{out}"],
+     2, "--runs must be >= 1, got 0"),
     # sets of 2 to tspbench.MAX_ENUM_POINTS points are the ones that can be scored
     (["tsp-bench", "--n", "1", "--runs", "1", "--epochs", "1", "--out", "{out}"],
      2, "argument --n: invalid choice: 1 ("),
@@ -306,7 +314,8 @@ def test_tsp_bench_csv(tmp_path):
      1, "Is a directory: '{taken}'"),
 ], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
         "negative-seed", "train-latent-negative-seed", "tsp-bench-negative-seed",
-        "negative-train-sets", "tsp-bench-n-1", "tsp-bench-n-11", "missing-directory", "res-huge",
+        "negative-train-sets", "train-latent-negative-epochs", "negative-epochs-before-reading",
+        "tsp-bench-negative-epochs", "tsp-bench-zero-runs", "tsp-bench-n-1", "tsp-bench-n-11", "missing-directory", "res-huge",
         "history-is-directory", "out-is-directory"])
 def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"

@@ -12,7 +12,6 @@ from tokensort.core import (
     SortedSequence,
     TokenSet,
     by_set_size,
-    edge_token,
     read_corpus,
     read_graphs,
     read_token_sets,
@@ -22,6 +21,7 @@ from tokensort.core import (
     write_sequences,
     write_token_sets,
 )
+from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 
 
 def test_token_set_multiset_equality():
@@ -108,13 +108,31 @@ def test_graph_bad_endpoint():
     assert g.edges == ((2, 0), (1, 2)) and all(type(x) is int for e in g.edges for x in e)
 
 
-def test_edge_token_concatenation():
+def _loop_edge_tokens(g: Graph) -> np.ndarray:
+    """The per-edge oracle: each stored edge's endpoint features, concatenated."""
+    return np.stack([np.concatenate([g.node_features[u], g.node_features[v]]) for u, v in g.edges])
+
+
+def test_tokenize_edges_concatenates_endpoints():
     feats = np.array([[0.0, 1.0], [2.0, 3.0]])
-    g = Graph(feats, ((0, 1),))
-    u, v = g.edges[0]
-    tok = edge_token(g, u, v)
-    assert tok.shape == (4,)
-    assert np.array_equal(tok[:2], feats[u]) and np.array_equal(tok[2:], feats[v])
+    g = Graph(feats, ((1, 0),))  # stored as (0, 1): node 0's features sort first
+    assert tokenize_edges(g).values.tolist() == [[0.0, 1.0, 2.0, 3.0]]
+
+
+def test_tokenize_edges_matches_per_edge_loop():
+    graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in range(300)]
+    # directed antiparallel edges are two tokens, one per orientation
+    graphs.append(Graph(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]]),
+                        ((0, 1), (1, 0), (2, 1), (1, 2), (2, 2)), directed=True))
+    rng = np.random.default_rng(4)
+    for dim in (1, 3):
+        feats = rng.normal(size=(6, dim))
+        graphs += [Graph(feats, ((0, 1), (2, 1), (5, 3), (4, 4), (3, 5)), directed=directed)
+                   for directed in (False, True)]
+    for g in graphs:
+        tokens = tokenize_edges(g).values
+        assert tokens.shape == (g.n_edges, 2 * g.node_dim)
+        assert tokens.tobytes() == _loop_edge_tokens(g).tobytes()
 
 
 def test_tokenize_edges_empty_graph():

@@ -298,6 +298,34 @@ def test_sample_edge_points_on_edges():
     assert 15 <= on_second.sum() <= 25
 
 
+def _loop_sample_edge_points(g: Graph, samples: int) -> np.ndarray:
+    """The per-edge oracle: segment starts and ends stacked edge by edge from
+    the node features, then sampled as sample_edge_points does."""
+    starts = np.stack([g.node_features[u] for u, _ in g.edges])
+    ends = np.stack([g.node_features[v] for _, v in g.edges])
+    lengths = np.linalg.norm(ends - starts, axis=1)
+    total = float(lengths.sum())
+    if total == 0.0:
+        return np.repeat(starts[:1], samples, axis=0)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    ts = (np.arange(samples) + 0.5) / samples * total
+    idx = np.clip(np.searchsorted(cum, ts, side="right") - 1, 0, len(lengths) - 1)
+    local = np.where(lengths[idx] > 0, (ts - cum[idx]) / np.maximum(lengths[idx], 1e-300), 0.0)
+    return starts[idx] + local[:, None] * (ends[idx] - starts[idx])
+
+
+def test_sample_edge_points_matches_per_edge_loop():
+    graphs = [generate_planar_graph(PlanarGenConfig(seed=s)) for s in range(300)]
+    feats = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5]])
+    # directed antiparallel edges are walked once in each direction
+    graphs.append(Graph(feats, ((0, 1), (1, 0), (2, 1), (1, 2)), directed=True))
+    graphs.append(Graph(feats, ((1, 1), (2, 2))))  # no length: every point at the first start
+    for g in graphs:
+        for samples in (1, 7, 100):
+            assert (sample_edge_points(g, samples).tobytes()
+                    == _loop_sample_edge_points(g, samples).tobytes())
+
+
 def test_sample_edge_points_no_edges():
     g = Graph(np.zeros((2, 2)), ())
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tokensort.cli import SORT_SCHEMES
-from tokensort.core import Graph, TokenSet, edge_token, tokenize_edges
+from tokensort.core import Graph, TokenSet, tokenize_edges
 from tokensort.datagen import PlanarGenConfig, generate_planar_graph
 from tokensort.latentsort import init_model, latent_sort
 from tokensort.sorters import (
@@ -257,13 +257,14 @@ def _lookup_traversal(g, depth_first):
                     if not visited[v]:
                         visited[v] = True
                         queue.append(v)
-    lookup = {frozenset(e) if not g.directed else e: e for e in g.edges}
+    lookup = {frozenset(e) if not g.directed else e: i for i, e in enumerate(g.edges)}
+    tokens = tokenize_edges(g).values
     rows = []
     for u, v in order:
         key = frozenset((u, v)) if not g.directed else (u, v)
         if key not in lookup and g.directed:
             key = (v, u)
-        rows.append(edge_token(g, *lookup[key]))
+        rows.append(tokens[lookup[key]])
     return np.stack(rows)
 
 
@@ -290,7 +291,7 @@ def test_traversal_antiparallel_directed_edges():
     for fn in (bfs_sort, dfs_sort):
         rows = fn(g).rows
         assert rows.shape == (3, 4)
-        assert _is_perm(np.stack([edge_token(g, u, v) for u, v in g.edges]), rows)
+        assert _is_perm(tokenize_edges(g).values, rows)
 
 
 @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),

@@ -12,7 +12,12 @@ sides with seed first-seed + i, base first in even pairs and second in odd
 ones, one run at a time. Only the last line of each run's output is read: perfbench's JSON
 result. The output file holds every run, and per workload and metric the
 median and quartiles of each side and how many pairs the head side won,
-ties counting for neither, with the environment the runs shared.
+ties counting for neither, with the environment the runs shared. Each
+end-to-end metric is also checked against its bound in BENCHMARK.json, a
+fraction of the base median: `beyond_bound` when the head median is worse
+than the base median by more than the bound, and `unresolved` when the
+base's quartile distance is wider than the bound, so that ten pairs cannot
+tell a change within it from noise.
 """
 from __future__ import annotations
 
@@ -66,10 +71,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def directions() -> dict[str, str]:
-    """metric -> "lower" or "higher", from BENCHMARK.json."""
+def benchmark_rules() -> tuple[dict[str, str], dict[str, float]]:
+    """From BENCHMARK.json: metric -> "lower" or "higher", and end-to-end
+    metric -> its bound."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    return ({m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
 
 
 def _spread(values: list[float]) -> dict:
@@ -77,12 +84,14 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per workload and metric: each side's median and quartiles
     (statistics.quantiles, n=4), the pairs the head side won, the pairs
     counted, and whether the medians differ by more than the base's
-    quartile distance. A pair counts for a metric when both of its runs
-    report it."""
+    quartile distance. A metric with a bound, a fraction of the base median,
+    also gets `beyond_bound` (the head median is worse by more than it) and
+    `unresolved` (the base's quartile distance is wider than it). A pair
+    counts for a metric when both of its runs report it."""
     pairs: dict[tuple[str, int], dict[str, dict]] = {}
     for r in runs:
         if "metrics" in r:
@@ -97,7 +106,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             entry["base_values"].append(sides["base"][name])
             entry["head_values"].append(sides["head"][name])
     for metrics in out.values():
-        for entry in metrics.values():
+        for name, entry in metrics.items():
             base, head = entry["base_values"], entry["head_values"]
             sign = -1.0 if entry["better"] == "lower" else 1.0
             entry["pairs"] = len(base)
@@ -105,7 +114,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             entry["base"], entry["head"] = _spread(base), _spread(head)
             gap = entry["head"]["median"] - entry["base"]["median"]
             entry["median_change"] = gap / entry["base"]["median"] if entry["base"]["median"] else None
-            entry["gap_exceeds_base_iqr"] = abs(gap) > entry["base"]["q3"] - entry["base"]["q1"]
+            iqr = entry["base"]["q3"] - entry["base"]["q1"]
+            entry["gap_exceeds_base_iqr"] = abs(gap) > iqr
+            bound = (bounds or {}).get(name)
+            if bound is not None:
+                allowed = bound * abs(entry["base"]["median"])
+                entry["bound"] = bound
+                entry["beyond_bound"] = -sign * gap > allowed
+                entry["unresolved"] = iqr > allowed
     return out
 
 
@@ -158,7 +174,7 @@ def main(argv=None) -> int:
             "seconds": args.seconds,
             "trace": args.trace,
             "environment": {"start": env_start, "end": environment()},
-            "summary": summarize(runs, directions()),
+            "summary": summarize(runs, *benchmark_rules()),
             "runs": runs,
         }
     finally:
