@@ -83,9 +83,9 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def _require_at_least(args, low: int, *names: str) -> None:
-    """UsageError naming the first of the options `names` given a value below `low`."""
+    """UsageError naming the first of the options `names` given a value below `low`, or NaN."""
     for name in names:
-        if (value := getattr(args, name)) is not None and value < low:
+        if (value := getattr(args, name)) is not None and not value >= low:
             raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
 
@@ -96,7 +96,9 @@ def cmd_sort(args) -> int:
 
 
 def cmd_train_latent(args) -> int:
-    _require_at_least(args, 0, "epochs", "seed")
+    _require_at_least(args, 0, "epochs", "seed", "lgp")
+    if math.isinf(args.lgp):
+        raise UsageError(f"--lgp must be finite, got {args.lgp}")
     sets = read_token_sets(args.infile)
     cfg = TrainConfig(epochs=args.epochs, lgp_coefficient=args.lgp, seed=args.seed)
     model, history = train(sets, cfg)
@@ -194,6 +196,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    _require_at_least(args, 0, "match_tol")  # inf matches every pair, as set_prf allows
     pred = read_token_sets(args.pred)
     gt = read_token_sets(args.gt)
     if len(pred) != len(gt):

@@ -28,6 +28,16 @@ def _as_matrix(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_indices(values, what: str) -> None:
+    """ValueError naming `what` unless each of values is a Python or numpy
+    int, not a bool (an integer array passes whole)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return
+    bad = [x for x in values if type(x) is not int and not isinstance(x, np.integer)]
+    if bad:
+        raise ValueError(f"{what} must be integers, got {bad[0]!r}")
+
+
 def _canonical_rows(values: np.ndarray) -> np.ndarray:
     """Rows sorted lexicographically; canonical form for multiset comparison."""
     order = np.lexsort(values.T[::-1])
@@ -95,6 +105,7 @@ class SortedSequence:
         if self.keys is not None and np.any(self.keys[1:] < self.keys[:-1]):
             raise ValueError("keys must be non-decreasing")
         if self.order is not None:
+            _check_indices(self.order, "order")
             order = np.array(self.order, dtype=np.intp)
             if not np.array_equal(np.sort(order), np.arange(self.rows.shape[0])):
                 raise ValueError(f"order must be a permutation of range({self.rows.shape[0]})")
@@ -165,15 +176,11 @@ def set_ids(sizes) -> np.ndarray:
 
 def by_set_size(fn, values: np.ndarray, sizes) -> np.ndarray:
     """fn of every set of a corpus, one value per row: the sets of each size
-    are stacked, (B, M, N), and fn maps them to (B, M). A corpus of one set
-    size is one reshape."""
+    are stacked, (B, M, N), and fn maps them to (B, M)."""
     sizes = np.asarray(sizes, dtype=np.intp)
-    set_sizes = set(sizes.tolist())
-    if len(set_sizes) == 1:
-        return fn(values.reshape(len(sizes), -1, values.shape[1])).ravel()
     starts = np.cumsum(sizes) - sizes
     out = np.empty(len(values))
-    for m in set_sizes:
+    for m in set(sizes.tolist()):
         rows = starts[sizes == m][:, None] + np.arange(m)
         out[rows] = fn(values[rows])
     return out
@@ -198,9 +205,7 @@ class Graph:
         if type(self.directed) is not bool:
             raise ValueError(f'"directed" must be true or false, got {self.directed!r}')
         edges = [(u, v) for u, v in self.edges]
-        bad = [x for e in edges for x in e if type(x) is not int and not isinstance(x, np.integer)]
-        if bad:
-            raise ValueError(f"edge endpoints must be integers, got {bad[0]!r}")
+        _check_indices([x for e in edges for x in e], "edge endpoints")
         feats = _as_matrix(self.node_features, "Graph.node_features")
         object.__setattr__(self, "node_features", feats)
         n = feats.shape[0]

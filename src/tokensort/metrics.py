@@ -5,7 +5,7 @@ between graphs, set precision/recall/F1, and size difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,17 +25,11 @@ SINKHORN_MAX_ITERS = 1000
 SINKHORN_TOL = 1e-6
 
 
-@dataclass
 class SinkhornConfig:
-    epsilon: float = 0.01
-    samples: int = 100
-
-    def validate(self) -> None:
-        if not 0 < self.epsilon < math.inf:  # also rejects NaN
-            raise ValueError(f"require a finite epsilon > 0, got {self.epsilon}")
-        samples = self.samples
-        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-            raise ValueError(f"require an integer samples >= 1, got {samples!r}")
+    # smd's protocol is fixed: the entropic regularization and the points
+    # sampled from each graph's edges
+    epsilon: ClassVar[float] = 0.01
+    samples: ClassVar[int] = 100
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -71,6 +65,8 @@ def sample_edge_points(g: Graph, samples: int) -> np.ndarray:
     Deterministic: point k sits at fraction (k + 0.5) / samples of the total
     edge length, walking edges in stored order.
     """
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"require an integer samples >= 1, got {samples!r}")
     if g.n_edges == 0:
         raise ValueError("graph has no edges to sample")
     if g.node_dim != 2:
@@ -164,16 +160,15 @@ def smd(a: Graph, b: Graph, cfg: SinkhornConfig | None = None) -> float:
 
     cost(a, b) - (cost(a, a) + cost(b, b)) / 2 with squared Euclidean ground
     cost and uniform weights. The two clouds are ordered canonically before
-    computation so smd(a, b) == smd(b, a) exactly.
+    computation so smd(a, b) == smd(b, a) exactly. ε and the sample count
+    are the constants of SinkhornConfig; cfg takes one, and is not read.
     """
-    cfg = cfg or SinkhornConfig()
-    cfg.validate()
-    pa = sample_edge_points(a, cfg.samples)
-    pb = sample_edge_points(b, cfg.samples)
+    pa = sample_edge_points(a, SinkhornConfig.samples)
+    pb = sample_edge_points(b, SinkhornConfig.samples)
     if pb.tobytes() < pa.tobytes():
         pa, pb = pb, pa
-    cross, self_a, self_b = _transport_costs(
-        np.stack([_pairwise_sq(pa, pb), _pairwise_sq(pa, pa), _pairwise_sq(pb, pb)]), cfg.epsilon)
+    cost = np.stack([_pairwise_sq(pa, pb), _pairwise_sq(pa, pa), _pairwise_sq(pb, pb)])
+    cross, self_a, self_b = _transport_costs(cost, SinkhornConfig.epsilon)
     return cross - 0.5 * (self_a + self_b)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TokenSet
+from .core import TokenSet, _check_indices
 from .latentsort import TrainConfig, latent_sort, train
 
 MAX_ENUM_POINTS = 10  # 10!/2 = 1.8M paths, still fine; beyond that refuse
@@ -23,8 +23,10 @@ PATH_CHUNK = 4096  # paths scored per step; bounds the transient memory to ~1 MB
 
 def path_length(points: np.ndarray, order: np.ndarray | list[int] | None = None) -> float:
     """Total Euclidean length of the open path visiting points in order."""
-    pts = points if order is None else points[np.asarray(order)]
-    return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    if order is not None:
+        _check_indices(order, "order")
+        points = points[np.asarray(order)]
+    return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,6 +56,7 @@ def percentile_longer(points: np.ndarray, order: np.ndarray | list[int]) -> floa
         raise ValueError("percentile_longer needs at least one point")
     if m > MAX_ENUM_POINTS:
         raise ValueError(f"refusing to enumerate paths for {m} > {MAX_ENUM_POINTS} points")
+    _check_indices(order, "order")
     if sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of range(len(points))")
     order = np.asarray(order)

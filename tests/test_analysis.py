@@ -431,6 +431,19 @@ def test_tridiagonal_requires_ascending_means():
         tridiagonal_P(LatentGaussianProfile(np.array([1.0, 0.0]), np.ones(2)))
 
 
+def test_groups_must_be_integers():
+    # float groups passed the partition check, then indexing raised IndexError
+    seq = SortedSequence(np.arange(6.0).reshape(3, 2))
+    for groups in ([[0.0, 1.0], [2]], [[0, True], [2]], [np.array([0.0, 1.0]), [2]]):
+        with pytest.raises(ValueError, match="groups must be integers"):
+            uniform_ambiguity_P(groups, 3)
+        with pytest.raises(ValueError, match="groups must be integers"):
+            ambiguity_error(seq, groups)
+    groups = [np.array([0, 1]), [np.int32(2)]]
+    assert uniform_ambiguity_P(groups, 3).tolist() == uniform_ambiguity_P([[0, 1], [2]], 3).tolist()
+    assert ambiguity_error(seq, groups) == ambiguity_error(seq, [[0, 1], [2]])
+
+
 def test_neighbor_bound_ordering_fuzz():
     rng = np.random.default_rng(11)
     for _ in range(1000):

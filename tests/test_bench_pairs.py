@@ -83,3 +83,29 @@ def test_benchmark_rules_read_bounds_of_end_to_end_metrics():
     better, bounds = _load_tool().benchmark_rules()
     assert bounds == {"setup_s": 0.25, "peak_rss_mb": 0.1, "round_s": 0.25}
     assert better["round_s"] == "lower" and better["train_sets_per_s"] == "higher"
+
+
+def test_operations_attempted_and_failed_share():
+    tool = _load_tool()
+    runs = _runs("graph-edges", [1.0] * 3, [1.0] * 3)
+    counts = {"base": [(511 * 25, 0), (511 * 21, 0), (511 * 22, 0)],
+              "head": [(511 * 31, 0), (511 * 30, 2), (511 * 32, 0)]}
+    for run in runs:
+        run["attempted"], run["failed"] = counts[run["side"]][run["pair"]]
+    runs += _runs("path-n8", [1.0] * 2, [1.0] * 2)
+    for run in runs[-4:]:
+        run["attempted"], run["failed"] = (100, 1) if run["side"] == "base" else (50, 0)
+    runs += [{"workload": "sort-analyze", "pair": 0, "seed": 600, "side": "base", "exit": 1, "error": ""},
+             {"workload": "sort-analyze", "pair": 0, "seed": 600, "side": "head", "exit": 0,
+              "correct": True, "attempted": 10, "failed": 0, "metrics": {}}]
+    out = tool.operations(runs)
+    # extra rounds show as more operations attempted: a graph-edges round is 511
+    edges = out["graph-edges"]
+    assert (edges["base"]["attempted"], edges["head"]["attempted"]) == (511 * 22, 511 * 31)
+    assert edges["base"]["failed_share"] == 0.0
+    assert edges["head"]["failed_share"] == 2 / (511 * 93)
+    assert edges["head_fails_more"]
+    path = out["path-n8"]
+    assert (path["base"]["failed_share"], path["head"]["failed_share"]) == (0.01, 0.0)
+    assert not path["head_fails_more"]
+    assert "sort-analyze" not in out  # its base run printed no result

@@ -274,9 +274,9 @@ def test_tsp_bench_csv(tmp_path):
 
 @pytest.mark.parametrize("argv, code, fragment", [
     (["metrics", "--pred", "{sets}", "--gt", "{sets}", "--match-tol", "nan", "--out", "{out}"],
-     1, "match_tol must be >= 0, got nan"),
-    (["train-latent", "--in", "{sets}", "--lgp", "nan", "--out", "{out}"], 1, "lgp_coefficient"),
-    (["train-latent", "--in", "{sets}", "--lgp", "inf", "--out", "{out}"], 1, "lgp_coefficient"),
+     2, "--match-tol must be >= 0, got nan"),
+    (["train-latent", "--in", "{sets}", "--lgp", "nan", "--out", "{out}"], 2, "--lgp must be >= 0, got nan"),
+    (["train-latent", "--in", "{sets}", "--lgp", "inf", "--out", "{out}"], 2, "--lgp must be finite, got inf"),
     (["train-latent", "--in", "{empty}", "--out", "{out}"], 1, "no token sets"),
     (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "0",
       "--out", "{out}"], 1, "no token sets"),
@@ -295,6 +295,13 @@ def test_tsp_bench_csv(tmp_path):
      2, "--epochs must be >= 0, got -2"),
     (["tsp-bench", "--n", "5", "--runs", "0", "--epochs", "1", "--out", "{out}"],
      2, "--runs must be >= 1, got 0"),
+    (["train-latent", "--in", "{sets}", "--lgp", "-1", "--out", "{out}"], 2, "--lgp must be >= 0, got -1.0"),
+    (["train-latent", "--in", "{tmp}/missing.jsonl", "--lgp=-inf", "--out", "{out}"],
+     2, "--lgp must be >= 0, got -inf"),
+    (["metrics", "--pred", "{sets}", "--gt", "{sets}", "--match-tol", "-1", "--out", "{out}"],
+     2, "--match-tol must be >= 0, got -1.0"),
+    (["metrics", "--pred", "{tmp}/missing.jsonl", "--gt", "{sets}", "--match-tol", "nan", "--out", "{out}"],
+     2, "--match-tol must be >= 0, got nan"),
     # sets of 2 to tspbench.MAX_ENUM_POINTS points are the ones that can be scored
     (["tsp-bench", "--n", "1", "--runs", "1", "--epochs", "1", "--out", "{out}"],
      2, "argument --n: invalid choice: 1 ("),
@@ -315,7 +322,8 @@ def test_tsp_bench_csv(tmp_path):
 ], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
         "negative-seed", "train-latent-negative-seed", "tsp-bench-negative-seed",
         "negative-train-sets", "train-latent-negative-epochs", "negative-epochs-before-reading",
-        "tsp-bench-negative-epochs", "tsp-bench-zero-runs", "tsp-bench-n-1", "tsp-bench-n-11", "missing-directory", "res-huge",
+        "tsp-bench-negative-epochs", "tsp-bench-zero-runs", "negative-lgp", "lgp-before-reading",
+        "negative-match-tol", "match-tol-before-reading", "tsp-bench-n-1", "tsp-bench-n-11", "missing-directory", "res-huge",
         "history-is-directory", "out-is-directory"])
 def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"

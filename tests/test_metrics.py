@@ -193,23 +193,29 @@ def test_smd_matches_reference_loop_bit_for_bit(seed):
         assert smd(x, y).hex() == _reference_smd(x, y).hex()
 
 
-def test_smd_raises_when_sinkhorn_cannot_converge():
+def test_smd_raises_when_sinkhorn_cannot_converge(monkeypatch):
     a, b = _graphs()
+    monkeypatch.setattr(metrics, "SINKHORN_MAX_ITERS", 3)
     with pytest.raises(SinkhornError, match="did not converge") as info:
-        smd(a, b, SinkhornConfig(epsilon=1e-5))
+        smd(a, b)
     assert info.value.violation >= SINKHORN_TOL
 
 
-def test_smd_config_validation():
-    a, b = _graphs()
-    with pytest.raises(ValueError):
-        smd(a, b, SinkhornConfig(epsilon=-1.0))
-    # NaN and inf epsilon ran 1000 iterations and then failed to converge;
-    # samples 2.5 failed the same way, and True sampled one point
-    for field, value in (("epsilon", 0.0), ("epsilon", math.nan), ("epsilon", math.inf),
-                         ("samples", 0), ("samples", 2.5), ("samples", True)):
-        with pytest.raises(ValueError, match=f"require .*{field}"):
-            smd(a, b, SinkhornConfig(**{field: value}))
+def test_sinkhorn_config_is_constants():
+    # smd's protocol: ε and the sample count are fixed, not settings
+    assert (SinkhornConfig.epsilon, SinkhornConfig.samples) == (0.01, 100)
+    for field, value in (("epsilon", 1e-5), ("samples", 50)):
+        with pytest.raises(TypeError):
+            SinkhornConfig(**{field: value})
+
+
+def test_sample_edge_points_sample_count_validation():
+    a, _ = _graphs()
+    # 2.5 sampled three points, True one, and 0 none
+    for value in (0, -1, 2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="require an integer samples >= 1"):
+            sample_edge_points(a, value)
+    assert sample_edge_points(a, np.int64(3)).shape == (3, 2)
 
 
 def _transports(a, b):

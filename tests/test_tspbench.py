@@ -97,6 +97,16 @@ def test_percentile_rejects_large_and_bad_order():
         percentile_longer(np.zeros((0, 2)), [])
 
 
+def test_path_functions_reject_non_integer_order():
+    # numpy's IndexError came from the float order; a bool one was a mask
+    pts = np.random.default_rng(0).uniform(size=(4, 2))
+    for fn in (percentile_longer, path_length):
+        for bad in ([0.0, 1.0, 2.0, 3.0], np.arange(4.0), [True, 1, 2, 3]):
+            with pytest.raises(ValueError, match="order must be integers"):
+                fn(pts, bad)
+        assert fn(pts, np.array([3, 1, 0, 2])) == fn(pts, [3, 1, 0, 2])
+
+
 def _oracle_percentile(points, order):
     """Every permutation by itertools, each path measured by path_length in
     the orientation with perm[0] <= perm[-1]."""

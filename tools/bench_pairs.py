@@ -17,7 +17,9 @@ end-to-end metric is also checked against its bound in BENCHMARK.json, a
 fraction of the base median: `beyond_bound` when the head median is worse
 than the base median by more than the bound, and `unresolved` when the
 base's quartile distance is wider than the bound, so that ten pairs cannot
-tell a change within it from noise.
+tell a change within it from noise. Per workload, the output also holds
+each side's median operations attempted in a run and the share of them
+that failed, with `head_fails_more` set when the head's share is higher.
 """
 from __future__ import annotations
 
@@ -125,6 +127,28 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float]
     return out
 
 
+def operations(runs: list[dict]) -> dict:
+    """Per workload and side, over the runs that printed a result: the median
+    operations attempted in a run and the share of all attempted operations
+    that failed; and `head_fails_more`, whether the head's share is higher.
+    A workload missing a side is left out."""
+    by_side: dict[str, dict[str, list[dict]]] = {}
+    for r in runs:
+        if "attempted" in r:
+            by_side.setdefault(r["workload"], {}).setdefault(r["side"], []).append(r)
+    out: dict[str, dict] = {}
+    for workload, sides in sorted(by_side.items()):
+        if set(sides) != {"base", "head"}:
+            continue
+        entry = out[workload] = {}
+        for side, rs in sides.items():
+            attempted = sum(r["attempted"] for r in rs)
+            entry[side] = {"runs": len(rs), "attempted": statistics.median(r["attempted"] for r in rs),
+                           "failed_share": sum(r["failed"] for r in rs) / attempted if attempted else 0.0}
+        entry["head_fails_more"] = entry["head"]["failed_share"] > entry["base"]["failed_share"]
+    return out
+
+
 def environment() -> dict:
     import numpy
 
@@ -175,6 +199,7 @@ def main(argv=None) -> int:
             "trace": args.trace,
             "environment": {"start": env_start, "end": environment()},
             "summary": summarize(runs, *benchmark_rules()),
+            "operations": operations(runs),
             "runs": runs,
         }
     finally:
