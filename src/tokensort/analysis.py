@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedCorpus, SortedSequence, TokenSet, _check_indices, set_ids
+from .core import SortedCorpus, SortedSequence, TokenSet, _permutation, set_ids
 from .latentsort import LatentSortModel, decode_batch, encode_batch
 
 ROW_SUM_TOL = 1e-9
@@ -115,10 +115,7 @@ def corpus_ambiguity_sets(corpus: SortedCorpus) -> list[list[list[int]]]:
 
 
 def _check_partition(groups: list[list[int]], m: int) -> None:
-    flat = [i for g in groups for i in g]
-    _check_indices(flat, "groups")
-    if sorted(flat) != list(range(m)):
-        raise ValueError("groups must partition 0..M-1")
+    _permutation([i for g in groups for i in g], m, "groups")
 
 
 def ambiguity_error(x_star: SortedSequence, groups: list[list[int]]) -> float:

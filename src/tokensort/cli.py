@@ -209,8 +209,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_tsp_bench(args) -> int:
-    _require_at_least(args, 0, "epochs", "train_sets", "seed")
-    _require_at_least(args, 1, "runs")
+    _require_at_least(args, 0, "epochs", "seed")
+    _require_at_least(args, 1, "runs", "train_sets")
     cfg = BenchConfig(set_size=args.n, n_runs=args.runs,
                       use_lgp=args.lgp == "on", seed=args.seed)
     if args.epochs is not None:
@@ -224,9 +224,17 @@ def cmd_tsp_bench(args) -> int:
     return 0
 
 
+# --seed s writes the graphs of planar seeds s * MAX_PLANAR_COUNT onwards, so
+# a larger --count would repeat the first graphs of --seed s + 1
+MAX_PLANAR_COUNT = 1000
+
+
 def cmd_gen_planar(args) -> int:
     _require_at_least(args, 0, "count", "seed")
-    write_graphs(args.out, (generate_planar_graph(PlanarGenConfig(seed=args.seed * 1000 + k))
+    if args.count > MAX_PLANAR_COUNT:
+        raise UsageError(f"--count must be <= {MAX_PLANAR_COUNT}, got {args.count}: --seed s writes "
+                         f"planar seeds s * {MAX_PLANAR_COUNT} onwards, and more would repeat --seed s + 1")
+    write_graphs(args.out, (generate_planar_graph(PlanarGenConfig(seed=args.seed * MAX_PLANAR_COUNT + k))
                             for k in range(args.count)))
     return 0
 

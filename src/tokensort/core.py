@@ -38,6 +38,20 @@ def _check_indices(values, what: str) -> None:
         raise ValueError(f"{what} must be integers, got {bad[0]!r}")
 
 
+def _permutation(values, m: int, what: str) -> np.ndarray:
+    """values as a new intp array; ValueError naming `what` unless they are
+    integers (see _check_indices) that hold each of range(m) once. An array
+    is sorted by numpy, anything else by Python, quicker on short lists."""
+    _check_indices(values, what)
+    if isinstance(values, np.ndarray):
+        ok = np.array_equal(np.sort(values), np.arange(m))
+    else:
+        ok = sorted(values) == list(range(m))
+    if not ok:
+        raise ValueError(f"{what} must be a permutation of range({m})")
+    return np.array(values, dtype=np.intp)
+
+
 def _canonical_rows(values: np.ndarray) -> np.ndarray:
     """Rows sorted lexicographically; canonical form for multiset comparison."""
     order = np.lexsort(values.T[::-1])
@@ -105,10 +119,7 @@ class SortedSequence:
         if self.keys is not None and np.any(self.keys[1:] < self.keys[:-1]):
             raise ValueError("keys must be non-decreasing")
         if self.order is not None:
-            _check_indices(self.order, "order")
-            order = np.array(self.order, dtype=np.intp)
-            if not np.array_equal(np.sort(order), np.arange(self.rows.shape[0])):
-                raise ValueError(f"order must be a permutation of range({self.rows.shape[0]})")
+            order = _permutation(self.order, self.rows.shape[0], "order")
             order.setflags(write=False)
             object.__setattr__(self, "order", order)
 
@@ -126,12 +137,13 @@ class SortedCorpus:
     """Token sets each sorted on its own, stored set after set.
 
     Set k holds `sizes[k]` rows, and its sorted tokens are
-    rows[starts[k]:starts[k] + sizes[k]]. For each row, `order` is its index
-    within its set in the input, and `keys` and `raw_keys`, when present, are
-    the keys that produced the order. The key schemes build one for a whole
-    corpus, and its arrays are held as given, not copied. Only the keys are
-    checked, for NaN and Inf, as in SortedSequence; `sequence` gives one set
-    as a fully validated SortedSequence.
+    rows[starts[k]:starts[k] + sizes[k]]. `order` is the permutation that
+    sorted the input rows `values`, rows == values[order], which keeps each
+    set's rows together and the sets in input order; `keys` and `raw_keys`,
+    when present, are the keys that produced it. The key schemes build one
+    for a whole corpus, and its arrays are held as given, not copied. Only
+    the keys are checked, for NaN and Inf, as in SortedSequence; `sequence`
+    gives one set as a fully validated SortedSequence.
     """
 
     rows: np.ndarray
@@ -146,25 +158,17 @@ class SortedCorpus:
             k = getattr(self, name)
             if k is not None and not np.isfinite(k).all():
                 raise ValueError(f"{name} must be finite (no NaN/Inf)")
+        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.intp))
         object.__setattr__(self, "starts", np.cumsum(self.sizes) - self.sizes)
 
-    @classmethod
-    def from_order(cls, values: np.ndarray, sizes, rows_order: np.ndarray, keys=None,
-                   raw_keys=None) -> SortedCorpus:
-        """The corpus `values` permuted by `rows_order`, a row order that keeps
-        each set's rows together and the sets in input order; `keys` and
-        `raw_keys` are given in that order already."""
-        sizes = np.asarray(sizes, dtype=np.intp)
-        local = rows_order - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        return cls(values[rows_order], sizes, local, keys=keys, raw_keys=raw_keys)
-
     def sequence(self, k: int) -> SortedSequence:
+        """Set k, its order local to the set."""
         part = slice(self.starts[k], self.starts[k] + self.sizes[k])
         return SortedSequence(
             self.rows[part],
             keys=None if self.keys is None else self.keys[part],
             raw_keys=None if self.raw_keys is None else self.raw_keys[part],
-            order=self.order[part],
+            order=self.order[part] - self.starts[k],
         )
 
 

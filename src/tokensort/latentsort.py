@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (SortedCorpus, SortedSequence, TokenSet, _dots, _json_numbers, atomic_write,
                    by_set_size, set_ids)
+from .sorters import sort_corpus_by_keys
 
 MODEL_FORMAT_VERSION = 1
 
@@ -196,17 +197,16 @@ def latent_sort_corpus(m: LatentSortModel, values: np.ndarray, sizes) -> SortedC
     How many rows a pass holds can change the last bits of a latent, so each
     set is encoded as a pass of its own: the sets of each size are stacked
     into one pass, (B, M, N), whose items are BLAS calls of one set's shape.
-    A set's keys are the same here as in latent_sort of that set alone.
+    A set's keys are the same here as in latent_sort of that set alone. Each
+    set is ordered by its latents (sort_corpus_by_keys), then normalized.
     """
-    sizes = np.asarray(sizes, dtype=np.intp)
     raw = by_set_size(lambda sets: encode_batch(m, sets), values, sizes)
-    rows_order = np.lexsort((raw, set_ids(sizes)))
-    raw = raw[rows_order]
-    starts = np.cumsum(sizes) - sizes
+    by_raw = sort_corpus_by_keys(values, sizes, raw)
+    raw, starts, sizes = by_raw.raw_keys, by_raw.starts, by_raw.sizes
     low = np.repeat(raw[starts], sizes)
     span = np.repeat(raw[starts + sizes - 1], sizes) - low
     norm = np.divide(raw - low, span, out=np.zeros_like(raw), where=span > 0)
-    return SortedCorpus.from_order(values, sizes, rows_order, keys=norm, raw_keys=raw)
+    return SortedCorpus(by_raw.rows, sizes, by_raw.order, keys=norm, raw_keys=raw)
 
 
 def latent_sort(m: LatentSortModel, x: TokenSet) -> SortedSequence:

@@ -37,9 +37,11 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(diff * diff, axis=2)
 
 
-def _check_sets(x: TokenSet, y: TokenSet) -> None:
+def _distances(x: TokenSet, y: TokenSet) -> np.ndarray:
+    """The Euclidean distance from each token of x to each of y, (|x|, |y|)."""
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
+    return np.sqrt(_pairwise_sq(x.values, y.values))
 
 
 def emd(x: TokenSet, y: TokenSet) -> float:
@@ -47,15 +49,13 @@ def emd(x: TokenSet, y: TokenSet) -> float:
 
     Directed on purpose: emd(x, y) != emd(y, x) in general.
     """
-    _check_sets(x, y)
-    d = np.sqrt(_pairwise_sq(x.values, y.values))
+    d = _distances(x, y)
     return float(np.mean(d.min(axis=1)))
 
 
 def ehd(x: TokenSet, y: TokenSet) -> float:
     """Symmetric Hausdorff distance: larger of the two directed sup-inf terms."""
-    _check_sets(x, y)
-    d = np.sqrt(_pairwise_sq(x.values, y.values))
+    d = _distances(x, y)
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
@@ -179,10 +179,9 @@ def set_prf(x: TokenSet, y: TokenSet, match_tol: float = 0.0) -> dict[str, float
     y index); a pair matches when within match_tol (0 = exact equality).
     Precision = TP/|x|, recall = TP/|y|, F1 harmonic mean (0 when TP = 0).
     """
-    _check_sets(x, y)
+    d = _distances(x, y)
     if not match_tol >= 0:  # also rejects NaN
         raise ValueError(f"match_tol must be >= 0, got {match_tol}")
-    d = np.sqrt(_pairwise_sq(x.values, y.values))
     xi, yj = np.nonzero(d <= match_tol)  # row-major, so a stable sort by distance ties by (x, y) index
     by_distance = np.argsort(d[xi, yj], kind="stable")
     used_x: set[int] = set()

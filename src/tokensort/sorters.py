@@ -21,9 +21,9 @@ def sort_corpus_by_keys(values: np.ndarray, sizes, keys: np.ndarray) -> SortedCo
     """Each set of a corpus sorted stably ascending by its tokens' keys, all
     sets in one lexsort with the set index as the primary key."""
     keys = np.asarray(keys, dtype=np.float64)
-    rows_order = np.lexsort((keys, set_ids(sizes)))
-    keys = keys[rows_order]
-    return SortedCorpus.from_order(values, sizes, rows_order, keys=keys, raw_keys=keys)
+    order = np.lexsort((keys, set_ids(sizes)))
+    keys = keys[order]
+    return SortedCorpus(values[order], sizes, order, keys=keys, raw_keys=keys)
 
 
 def sort_by_keys(x: TokenSet, keys: np.ndarray) -> SortedSequence:
@@ -62,7 +62,8 @@ def mean_squared_sort(x: TokenSet) -> SortedSequence:
 
 def lexicographical_corpus(values: np.ndarray, sizes) -> SortedCorpus:
     """lexicographical_sort of every set of a corpus."""
-    return SortedCorpus.from_order(values, sizes, np.lexsort((*values.T[::-1], set_ids(sizes))))
+    order = np.lexsort((*values.T[::-1], set_ids(sizes)))
+    return SortedCorpus(values[order], sizes, order)
 
 
 def lexicographical_sort(x: TokenSet) -> SortedSequence:

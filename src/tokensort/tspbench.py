@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import TokenSet, _check_indices
+from .core import TokenSet, _check_indices, _permutation
 from .latentsort import TrainConfig, latent_sort, train
 
 MAX_ENUM_POINTS = 10  # 10!/2 = 1.8M paths, still fine; beyond that refuse
@@ -22,9 +22,13 @@ PATH_CHUNK = 4096  # paths scored per step; bounds the transient memory to ~1 MB
 
 
 def path_length(points: np.ndarray, order: np.ndarray | list[int] | None = None) -> float:
-    """Total Euclidean length of the open path visiting points in order."""
+    """Total Euclidean length of the open path visiting points in order; a
+    point may be visited more than once."""
     if order is not None:
         _check_indices(order, "order")
+        outside = [i for i in order if not 0 <= i < len(points)]
+        if outside:
+            raise ValueError(f"order must index range({len(points)}), got {outside[0]}")
         points = points[np.asarray(order)]
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
 
@@ -56,10 +60,7 @@ def percentile_longer(points: np.ndarray, order: np.ndarray | list[int]) -> floa
         raise ValueError("percentile_longer needs at least one point")
     if m > MAX_ENUM_POINTS:
         raise ValueError(f"refusing to enumerate paths for {m} > {MAX_ENUM_POINTS} points")
-    _check_indices(order, "order")
-    if sorted(order) != list(range(m)):
-        raise ValueError("order must be a permutation of range(len(points))")
-    order = np.asarray(order)
+    order = _permutation(order, m, "order")
     if order[0] > order[-1]:
         order = order[::-1]
     pts = np.asarray(points, dtype=np.float64)
@@ -96,6 +97,8 @@ def run_tsp_benchmark(cfg: BenchConfig) -> dict:
         raise ValueError(f"set_size must be in [2, {MAX_ENUM_POINTS}]")
     if cfg.n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if cfg.n_train_sets < 1:
+        raise ValueError("n_train_sets must be >= 1")
     train_cfg = cfg.train
     if not cfg.use_lgp:
         train_cfg = replace(train_cfg, lgp_coefficient=0.0)

@@ -279,14 +279,17 @@ def test_tsp_bench_csv(tmp_path):
     (["train-latent", "--in", "{sets}", "--lgp", "inf", "--out", "{out}"], 2, "--lgp must be finite, got inf"),
     (["train-latent", "--in", "{empty}", "--out", "{out}"], 1, "no token sets"),
     (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "0",
-      "--out", "{out}"], 1, "no token sets"),
+      "--out", "{out}"], 2, "--train-sets must be >= 1, got 0"),
     (["gen-planar", "--count", "-2", "--out", "{out}"], 2, "--count must be >= 0, got -2"),
+    # seed s writes planar seeds s * 1000 onwards: a 1001st graph is seed s + 1's first
+    (["gen-planar", "--count", "1001", "--out", "{out}"],
+     2, "--count must be <= 1000, got 1001: --seed s writes planar seeds s * 1000 onwards"),
     (["gen-planar", "--count", "1", "--seed", "-1", "--out", "{out}"], 2, "--seed must be >= 0, got -1"),
     (["train-latent", "--in", "{sets}", "--seed", "-1", "--out", "{out}"], 2, "--seed must be >= 0, got -1"),
     (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--seed", "-1", "--out", "{out}"],
      2, "--seed must be >= 0, got -1"),
     (["tsp-bench", "--n", "5", "--runs", "1", "--epochs", "1", "--train-sets", "-3", "--out", "{out}"],
-     2, "--train-sets must be >= 0, got -3"),
+     2, "--train-sets must be >= 1, got -3"),
     # rejected before the corpus is read or a model trained
     (["train-latent", "--in", "{sets}", "--epochs", "-1", "--out", "{out}"], 2, "--epochs must be >= 0, got -1"),
     (["train-latent", "--in", "{tmp}/missing.jsonl", "--epochs", "-1", "--out", "{out}"],
@@ -319,7 +322,7 @@ def test_tsp_bench_csv(tmp_path):
      1, "Is a directory: '{taken}'"),
     (["train-latent", "--in", "{sets}", "--epochs", "1", "--out", "{taken}"],
      1, "Is a directory: '{taken}'"),
-], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count",
+], ids=["match-tol-nan", "lgp-nan", "lgp-inf", "empty-corpus", "no-train-sets", "negative-count", "count-over-1000",
         "negative-seed", "train-latent-negative-seed", "tsp-bench-negative-seed",
         "negative-train-sets", "train-latent-negative-epochs", "negative-epochs-before-reading",
         "tsp-bench-negative-epochs", "tsp-bench-zero-runs", "negative-lgp", "lgp-before-reading",
@@ -334,6 +337,17 @@ def test_degenerate_input_rejected_without_output(argv, code, fragment, sets_fil
     names = dict(sets=sets_file, empty=empty, out=tmp_path / "out", tmp=tmp_path, taken=taken)
     assert main([a.format(**names) for a in argv]) == code
     assert fragment.format(**names) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_reports_its_epoch_and_writes_nothing(tmp_path, capsys):
+    # squared reconstruction errors of tokens at 1e200 overflow in the first epoch
+    sets = tmp_path / "huge.jsonl"
+    write_token_sets(str(sets), [TokenSet(np.full((3, 2), 1e200)), TokenSet(np.full((2, 2), -1e200))])
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["train-latent", "--in", str(sets), "--epochs", "2", "--out", str(tmp_path / "m.json")]) == 1
+    assert "non-finite loss at epoch 0" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 

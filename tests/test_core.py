@@ -263,15 +263,20 @@ def test_by_set_size_is_per_set_application(sizes):
     assert set_ids(sizes).tolist() == [k for k, m in enumerate(sizes) for _ in range(m)]
 
 
-def test_sorted_corpus_from_order():
+def test_sorted_corpus_keeps_its_permutation():
     values = np.arange(12.0).reshape(6, 2)
-    rows_order = np.array([1, 0, 2, 5, 3, 4])  # sets [0, 1], [2], [3, 4, 5]
-    keys = np.array([0.25, 0.5, 1.0, 2.0, 2.5, 3.0])  # in the new row order
-    corpus = SortedCorpus.from_order(values, [2, 1, 3], rows_order, keys=keys, raw_keys=-keys)
-    assert corpus.rows.tolist() == values[rows_order].tolist()
-    assert corpus.order.tolist() == [1, 0, 0, 2, 0, 1]
-    assert corpus.keys is keys and corpus.raw_keys.tolist() == (-keys).tolist()
-    assert corpus.sequence(2).rows.tolist() == [[10.0, 11.0], [6.0, 7.0], [8.0, 9.0]]
+    order = np.array([1, 0, 2, 5, 3, 4])  # sets [0, 1], [2], [3, 4, 5]
+    keys = np.array([0.25, 0.5, 1.0, 2.0, 2.5, 3.0])  # in the sorted row order
+    corpus = SortedCorpus(values[order], [2, 1, 3], order, keys=keys, raw_keys=-keys)
+    assert corpus.rows.tolist() == values[corpus.order].tolist()
+    assert corpus.order is order and corpus.keys is keys
+    assert corpus.sizes.dtype == np.intp and corpus.starts.tolist() == [0, 2, 3]
+    # each set's sequence holds its order within the set
+    assert [corpus.sequence(k).order.tolist() for k in range(3)] == [[1, 0], [0], [2, 0, 1]]
+    seq = corpus.sequence(2)
+    assert seq.rows.tolist() == [[10.0, 11.0], [6.0, 7.0], [8.0, 9.0]]
+    assert seq.rows.tolist() == values[3:][seq.order].tolist()
+    assert seq.raw_keys.tolist() == [-2.0, -2.5, -3.0]
 
 
 def test_write_sequences_one_column_and_empty(tmp_path):

@@ -1,6 +1,6 @@
 """The comparison and report logic of tools/identity_check.py, on fabricated
-digests, and its smd, edge-token training, delaunay and analysis scripts; no
-git and no tokensort command runs here."""
+digests, and its smd, edge-token training, per-set ordering, delaunay and
+analysis scripts; no git and no tokensort command runs here."""
 import hashlib
 import importlib.util
 import json
@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from tokensort.analysis import LatentGaussianProfile, rank_probability_matrix, swap_probability, tridiagonal_P
-from tokensort.core import read_graphs, tokenize_edges, write_graphs
+from tokensort.core import read_graphs, read_token_sets, tokenize_edges, write_graphs
 from tokensort.datagen import DegenerateInputError, PlanarGenConfig, delaunay, generate_planar_graph
-from tokensort.latentsort import TrainConfig, save_model, train
+from tokensort.latentsort import TrainConfig, init_model, latent_sort, load_model, save_model, train
+from tokensort.sorters import (bfs_sort, dfs_sort, lexicographical_sort, mean_squared_sort, sort_by_keys,
+                               svd_lowrank_sort)
 from tokensort.metrics import smd
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "identity_check.py"
@@ -84,14 +86,17 @@ def test_commands_cover_every_scheme_and_output(tmp_path):
 def test_planar_script_runs_once_per_invocation(monkeypatch, capsys):
     # its output takes no seed, so only the first seed's sides run it
     tool = _load_tool()
-    assert [name for name, _, _ in tool.scripts(0, Path("g"), planar=False)] == [
-        "smd", "train on edge tokens", "delaunay", "analysis"]
-    assert tool.scripts(0, Path("g"), planar=True)[-1] == ("planar", tool.PLANAR_SCRIPT, tool.PLANAR_SEEDS)
+    runs = tool.scripts(0, Path("c"), Path("m"), Path("g"), planar=False)
+    assert [name for name, _, _ in runs] == [
+        "smd", "train on edge tokens", "delaunay", "analysis", "per-set orderings"]
+    assert runs[-1][2] == (Path("c"), Path("m"), Path("g"))
+    assert tool.scripts(0, Path("c"), Path("m"), Path("g"), planar=True)[-1] == (
+        "planar", tool.PLANAR_SCRIPT, (tool.PLANAR_SEEDS,))
     calls = []
 
     def run_side(tree, corpus, snapped, out, seed, graphs, planar):
         calls.append((tree.name, seed, planar))
-        return {name: "aa" for name, _, _ in tool.scripts(seed, graphs, planar)}
+        return {name: "aa" for name, _, _ in tool.scripts(seed, corpus, out / "model.json", graphs, planar)}
 
     monkeypatch.setattr(tool, "run_side", run_side)
     monkeypatch.setattr(tool, "_bench_pairs", lambda: SimpleNamespace(
@@ -101,7 +106,7 @@ def test_planar_script_runs_once_per_invocation(monkeypatch, capsys):
                      ("base", 7, False), ("head", 7, False)]
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if "planar" in line] == ["seed 0 planar: same"]
-    assert lines[-1] == "13 of 13 outputs identical"
+    assert lines[-1] == "16 of 16 outputs identical"
 
 
 def test_snapped_corpus_is_the_corpus_on_the_grid(tmp_path):
@@ -144,6 +149,42 @@ def test_edge_train_script_digests_a_model_trained_on_edge_tokens(tmp_path):
     model, _ = train(sets, TrainConfig(epochs=tool.EDGE_EPOCHS, lgp_coefficient=tool.LGP))
     save_model(model, tmp_path / "ref.json")
     assert proc.stdout.split() == [hashlib.sha256((tmp_path / "ref.json").read_bytes()).hexdigest()]
+
+
+def test_sequences_script_digests_every_per_set_ordering(tmp_path):
+    tool = _load_tool()
+    tool.write_corpus(tmp_path / "c.jsonl", 3)
+    save_model(init_model(2, seed=1), tmp_path / "m.json")
+    write_graphs(str(tmp_path / "g.jsonl"), [generate_planar_graph(PlanarGenConfig(seed=s)) for s in (4, 5)])
+    src = str(Path(tool.ROOT) / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = [str(tmp_path / name) for name in ("c.jsonl", "m.json", "g.jsonl")]
+    proc = subprocess.run([sys.executable, "-c", tool.SEQUENCES_SCRIPT, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    # the same orderings in process give the same digests
+    sets, model = read_token_sets(args[0]), load_model(args[1])
+    graphs = read_graphs(args[2])
+
+    def digest(seqs):
+        h = hashlib.sha256()
+        for seq in seqs:
+            for a in (seq.order, seq.keys, seq.raw_keys):
+                h.update(b"none" if a is None else a.dtype.str.encode() + a.tobytes())
+        return h.hexdigest()
+
+    quarters = [sort_by_keys(x, np.round(x.values[:, 0] * 4) / 4) for x in sets]
+    assert any(len(np.unique(q.keys)) < len(q.keys) for q in quarters)  # keys tie
+    expected = {
+        "sort_by_keys": digest(quarters),
+        "mean_squared_sort": digest(map(mean_squared_sort, sets)),
+        "lexicographical_sort": digest(map(lexicographical_sort, sets)),
+        "svd_lowrank_sort": digest(map(svd_lowrank_sort, sets)),
+        "latent_sort": digest(latent_sort(model, x) for x in sets),
+        "bfs_sort": digest(map(bfs_sort, graphs)),
+        "dfs_sort": digest(map(dfs_sort, graphs)),
+    }
+    assert proc.stdout.split() == [x for item in expected.items() for x in item]
+    assert len(set(expected.values())) == len(expected)
 
 
 def test_delaunay_script_prints_each_set_in_four_forms():

@@ -23,6 +23,15 @@ def test_path_length_collinear():
     assert path_length(pts, [0, 2, 1]) == 3.0
 
 
+def test_path_length_rejects_indices_outside_the_points():
+    # -1 took the last point, and 7 raised numpy's IndexError
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
+    for bad, shown in (([-1, 0], "-1"), ([0, 7], "7"), (np.array([0, 3]), "3")):
+        with pytest.raises(ValueError, match=rf"order must index range\(3\), got {shown}"):
+            path_length(pts, bad)
+    assert path_length(pts, [0, 2, 0]) == 10.0  # a path may revisit a point
+
+
 def test_path_length_reversal_invariant():
     rng = np.random.default_rng(0)
     pts = rng.uniform(size=(6, 2))
@@ -165,6 +174,9 @@ def test_benchmark_config_validation():
         run_tsp_benchmark(BenchConfig(set_size=11))
     with pytest.raises(ValueError):
         run_tsp_benchmark(BenchConfig(n_runs=0))
+    # rejected up front, not by training after the evaluation set is drawn
+    with pytest.raises(ValueError, match="n_train_sets must be >= 1"):
+        run_tsp_benchmark(BenchConfig(n_train_sets=0))
 
 
 def test_benchmark_untrained_matches_random_sweep():

@@ -18,8 +18,13 @@ ragged 4-D sets, digested by its model file; `datagen.delaunay` on seeded
 point sets, collinear triples and duplicate points among them; and the
 analysis kernels `rank_probability_matrix`, `tridiagonal_P` and
 `swap_probability` on seeded latent profiles, zero variances and equal means
-among them; and, with the first seed only, since it takes no seed,
-`generate_planar_graph` on seeds 0-1999, digested by node features and edges.
+among them; the per-set orderings of the library, by the `.order`, `.keys`
+and `.raw_keys` they return: `sort_by_keys`, `mean_squared_sort`,
+`lexicographical_sort`, `svd_lowrank_sort` and `latent_sort` (with the
+side's model) on every set of the corpus, and `bfs_sort` and `dfs_sort` on
+the base side's `gen-planar` graphs; and, with the first seed only, since it
+takes no seed, `generate_planar_graph` on seeds 0-1999, digested by node
+features and edges.
 It compares the sha256 of every output, prints one line per output and exits
 1 unless every digest matches.
 """
@@ -143,6 +148,37 @@ print("tridiagonal", tri.hexdigest())
 print("swap", swap.hexdigest())
 """
 
+# argv[1:4]: a token-set file, a model file and a graph file; prints the
+# sha256 of the .order, .keys and .raw_keys of what each per-set ordering
+# returns, one line a function: the key schemes, latent_sort with the model,
+# and sort_by_keys by the first coordinate rounded to quarters (so that keys
+# tie), on every set of the file; bfs_sort and dfs_sort on every graph
+SEQUENCES_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from tokensort import sorters
+from tokensort.core import read_graphs, read_token_sets
+from tokensort.latentsort import latent_sort, load_model
+sets, model, graphs = read_token_sets(sys.argv[1]), load_model(sys.argv[2]), read_graphs(sys.argv[3])
+per_set = {
+    "sort_by_keys": lambda x: sorters.sort_by_keys(x, np.round(x.values[:, 0] * 4) / 4),
+    "mean_squared_sort": sorters.mean_squared_sort,
+    "lexicographical_sort": sorters.lexicographical_sort,
+    "svd_lowrank_sort": sorters.svd_lowrank_sort,
+    "latent_sort": lambda x: latent_sort(model, x),
+}
+def digest(seqs):
+    h = hashlib.sha256()
+    for seq in seqs:
+        for a in (seq.order, seq.keys, seq.raw_keys):
+            h.update(b"none" if a is None else a.dtype.str.encode() + a.tobytes())
+    return h.hexdigest()
+for name, fn in per_set.items():
+    print(name, digest(map(fn, sets)))
+for name in ("bfs_sort", "dfs_sort"):
+    print(name, digest(map(getattr(sorters, name), graphs)))
+"""
+
 
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -193,14 +229,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def scripts(seed: int, graphs: Path, planar: bool) -> list[tuple[str, str, object]]:
-    """(output name, script, its argument) of each script a side runs:
+def scripts(seed: int, corpus: Path, model: Path, graphs: Path,
+            planar: bool) -> list[tuple[str, str, tuple]]:
+    """(output name, script, its arguments) of each script a side runs:
     SMD_SCRIPT and EDGE_TRAIN_SCRIPT on `graphs`, DELAUNAY_SCRIPT and
-    ANALYSIS_SCRIPT at `seed`, and with `planar` PLANAR_SCRIPT at
-    PLANAR_SEEDS, whose output is the same at every seed."""
-    runs = [("smd", SMD_SCRIPT, graphs), ("train on edge tokens", EDGE_TRAIN_SCRIPT, graphs),
-            ("delaunay", DELAUNAY_SCRIPT, seed), ("analysis", ANALYSIS_SCRIPT, seed)]
-    return runs + [("planar", PLANAR_SCRIPT, PLANAR_SEEDS)] if planar else runs
+    ANALYSIS_SCRIPT at `seed`, SEQUENCES_SCRIPT on `corpus`, `model` and
+    `graphs`, and with `planar` PLANAR_SCRIPT at PLANAR_SEEDS, whose output
+    is the same at every seed."""
+    runs = [("smd", SMD_SCRIPT, (graphs,)), ("train on edge tokens", EDGE_TRAIN_SCRIPT, (graphs,)),
+            ("delaunay", DELAUNAY_SCRIPT, (seed,)), ("analysis", ANALYSIS_SCRIPT, (seed,)),
+            ("per-set orderings", SEQUENCES_SCRIPT, (corpus, model, graphs))]
+    return runs + [("planar", PLANAR_SCRIPT, (PLANAR_SEEDS,))] if planar else runs
 
 
 def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
@@ -220,8 +259,8 @@ def run_side(tree: Path, corpus: Path, snapped: Path, out: Path, seed: int,
         digests[name] = _sha256(target)
         if name == "train-latent":
             digests["train-latent history"] = _sha256(Path(str(target) + ".history.csv"))
-    for name, script, arg in scripts(seed, graphs, planar):
-        proc = subprocess.run([sys.executable, "-c", script, str(arg)], cwd=out, env=env,
+    for name, script, args in scripts(seed, corpus, out / "model.json", graphs, planar):
+        proc = subprocess.run([sys.executable, "-c", script, *map(str, args)], cwd=out, env=env,
                               capture_output=True)
         digests[name] = (hashlib.sha256(proc.stdout).hexdigest() if proc.returncode == 0
                          else f"exit {proc.returncode}")
