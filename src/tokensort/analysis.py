@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SortedCorpus, SortedSequence, TokenSet, _permutation, set_ids
+from .core import SortedCorpus, SortedSequence, TokenSet, _check_permutation, set_ids
 from .latentsort import LatentSortModel, decode_batch, encode_batch
 
 ROW_SUM_TOL = 1e-9
@@ -115,14 +115,17 @@ def corpus_ambiguity_sets(corpus: SortedCorpus) -> list[list[list[int]]]:
 
 
 def _check_partition(groups: list[list[int]], m: int) -> None:
-    _permutation([i for g in groups for i in g], m, "groups")
+    _check_permutation([i for g in groups for i in g], m, "groups")
 
 
-def ambiguity_error(x_star: SortedSequence, groups: list[list[int]]) -> float:
+def ambiguity_error(x_star: SortedSequence, groups: list[list[int]], *, check: bool = True) -> float:
     """Sum over positions of the squared distance between each token and the
-    mean of its ambiguity group."""
+    mean of its ambiguity group. check=False skips the check that groups
+    partition the positions, for groups a caller has checked already (as
+    uniform_ambiguity_P does)."""
     y = x_star.rows
-    _check_partition(groups, y.shape[0])
+    if check:
+        _check_partition(groups, y.shape[0])
     err = 0.0
     for g in groups:
         if len(g) == 1:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import secrets
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -38,10 +37,10 @@ def _check_indices(values, what: str) -> None:
         raise ValueError(f"{what} must be integers, got {bad[0]!r}")
 
 
-def _permutation(values, m: int, what: str) -> np.ndarray:
-    """values as a new intp array; ValueError naming `what` unless they are
-    integers (see _check_indices) that hold each of range(m) once. An array
-    is sorted by numpy, anything else by Python, quicker on short lists."""
+def _check_permutation(values, m: int, what: str) -> None:
+    """ValueError naming `what` unless values are integers (see
+    _check_indices) that hold each of range(m) once. An array is sorted by
+    numpy, anything else by Python, quicker on short lists."""
     _check_indices(values, what)
     if isinstance(values, np.ndarray):
         ok = np.array_equal(np.sort(values), np.arange(m))
@@ -49,6 +48,11 @@ def _permutation(values, m: int, what: str) -> np.ndarray:
         ok = sorted(values) == list(range(m))
     if not ok:
         raise ValueError(f"{what} must be a permutation of range({m})")
+
+
+def _permutation(values, m: int, what: str) -> np.ndarray:
+    """values, checked by _check_permutation, as a new intp array."""
+    _check_permutation(values, m, what)
     return np.array(values, dtype=np.intp)
 
 
@@ -274,7 +278,7 @@ def atomic_write(path, newline: str | None = None):
     partway leaves the previous file, or none, and removes its temporary.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
         fh = open(tmp, "x", newline=newline)
     except FileNotFoundError as exc:  # name the path asked for, not the temporary
@@ -296,7 +300,7 @@ def atomic_write(path, newline: str | None = None):
 def restore_on_error(path):
     """Put the file at `path` back as it was if the block raises: a file there
     is hard-linked aside and moved back, and one the block made is removed."""
-    aside = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp" if os.path.isfile(path) else None
+    aside = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp" if os.path.isfile(path) else None
     if aside:
         os.link(path, aside)
     try:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,22 @@ HIDDEN_SIZES = (64, 64)
 # ---------------------------------------------------------------------------
 # MLP with tanh hidden layers and a linear output layer.
 # ---------------------------------------------------------------------------
+
+
+class _Inline:
+    """A lane (see train) that runs each call at once, on the caller's
+    thread, and hands back its result in a finished Future."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self) -> None:
+        pass
+
+
+INLINE = _Inline()
 
 
 def _matrix(flat: np.ndarray | None, rows: int, cols: int) -> np.ndarray:
@@ -119,11 +137,18 @@ class Mlp:
         return acts[-1], acts
 
     def backward(self, acts, grad_out: np.ndarray, buffers: MlpBuffers | None = None,
-                 input_grad: bool = True):
+                 input_grad: bool = True, lane=INLINE):
         """Backprop grad_out (B, out) through the cached forward pass.
         Returns (grad_x, grad_weights, grad_biases); grad_x is None when
         input_grad is false, which skips its product. With buffers the
-        gradients are buffers.grad_weights and grad_biases, overwritten."""
+        gradients are buffers.grad_weights and grad_biases, overwritten.
+
+        A hidden-to-hidden layer's weight-gradient product, the largest
+        product with the input-gradient one, runs on `lane` (see train)
+        beside the bias sum and the input-gradient product, which only read
+        the delta it reads too. It is joined before the next layer rewrites
+        that delta's buffer. The first and the last layer's products are
+        thin, and cost less than a trip to the lane saves."""
         n = len(self.weights)
         rows = len(grad_out)
         if buffers is None:
@@ -141,11 +166,14 @@ class Mlp:
                 np.multiply(acts[l + 1], acts[l + 1], out=tanh_grad)
                 np.subtract(1.0, tanh_grad, out=tanh_grad)
                 delta *= tanh_grad
-            np.matmul(acts[l].T, delta, out=gw[l])
+            weight_grad = (lane if 0 < l < n - 1 else INLINE).submit(np.matmul, acts[l].T, delta, gw[l])
             np.sum(delta, axis=0, out=gb[l])
             if l == 0 and not input_grad:
+                weight_grad.result()
                 return None, gw, gb
-            delta = _matmul(delta, self.weights[l].T, _matrix(scratch[l % 2], rows, self.weights[l].shape[0]))
+            grad_in = _matmul(delta, self.weights[l].T, _matrix(scratch[l % 2], rows, self.weights[l].shape[0]))
+            weight_grad.result()
+            delta = grad_in
         return delta, gw, gb
 
     def params(self) -> list[np.ndarray]:
@@ -339,7 +367,7 @@ def learning_rate(step: int, total_steps: int) -> float:
 
 
 def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: TrainConfig,
-                           buffers: tuple[MlpBuffers, MlpBuffers] | None = None):
+                           buffers: tuple[MlpBuffers, MlpBuffers] | None = None, lane=INLINE):
     """Reconstruction + LGP losses and analytic gradients for one batch.
 
     The LGP is applied per token set: each set's tokens are ranked by the
@@ -347,21 +375,24 @@ def batch_losses_and_grads(m: LatentSortModel, sets: list[np.ndarray], cfg: Trai
     penalized. Returns (recon, lgp, grads aligned with model.params()).
     With buffers (the encoder's and the decoder's, see _train_buffers) the
     passes run in them and the gradients are views of their flat gradient
-    vector, overwritten by the next call.
+    vector, overwritten by the next call. The LGP, which only reads the
+    tokens and the latents, runs on `lane` (see train) beside the decoder's
+    passes, and so do the backward passes' weight-gradient products.
     """
     enc_buf, dec_buf = buffers or (None, None)
     x = np.concatenate(sets, axis=0)
     h_col, enc_acts = m.encoder.forward(x, enc_buf)
+    lgp = lane.submit(_lgp_batch, x, h_col[:, 0], [s.shape[0] for s in sets])
     x_hat, dec_acts = m.decoder.forward(h_col, dec_buf)
 
     recon, grad_xhat = reconstruction_loss(x, x_hat)
-    grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat, dec_buf)
+    grad_h_dec, dec_gw, dec_gb = m.decoder.backward(dec_acts, grad_xhat, dec_buf, lane=lane)
 
-    lgp_total, grad_h_lgp = _lgp_batch(x, h_col[:, 0], [s.shape[0] for s in sets])
+    lgp_total, grad_h_lgp = lgp.result()
     lgp_mean = lgp_total / len(sets)
 
     grad_h = grad_h_dec + (cfg.lgp_coefficient / len(sets)) * grad_h_lgp[:, None]
-    _, enc_gw, enc_gb = m.encoder.backward(enc_acts, grad_h, enc_buf, input_grad=False)
+    _, enc_gw, enc_gb = m.encoder.backward(enc_acts, grad_h, enc_buf, input_grad=False, lane=lane)
 
     grads = enc_gw + enc_gb + dec_gw + dec_gb
     return recon, lgp_mean, grads
@@ -435,6 +466,11 @@ def _train_buffers(model: LatentSortModel, rows: int):
     return flat, grads, tuple(buffers)
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; all of them where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     """Train a latent-sort model on a corpus of token sets.
 
@@ -442,6 +478,16 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     {"epoch", "recon", "lgp", "lr"}. Fully deterministic given cfg.seed and
     the BLAS thread count. Aborts with a diagnostic if the loss turns
     non-finite.
+
+    Where the process may run on two CPUs or more, each step's independent
+    kernels use a second one: a one-worker thread, the lane, runs the LGP
+    beside the decoder's passes and each hidden layer's weight-gradient
+    product beside its input-gradient product (see batch_losses_and_grads
+    and Mlp.backward). On one CPU the lane runs the same calls inline. Every
+    kernel is the same call on the same operands either way, so the model
+    and history are the same bytes. The lane is shut down before train
+    returns or raises. The gain shows with one BLAS thread
+    (OPENBLAS_NUM_THREADS=1), which is also the faster setting without it.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
@@ -464,30 +510,34 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     history: list[dict] = []
     step = 0
     lr = 0.0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(arrays))
-        recon_sum = lgp_sum = 0.0
-        for b in range(steps_per_epoch):
-            batch = [arrays[i] for i in perm[b * BATCH_SIZE : (b + 1) * BATCH_SIZE]]
-            recon, lgp, _ = batch_losses_and_grads(model, batch, cfg, buffers)
-            if not (math.isfinite(recon) and math.isfinite(lgp)):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, last lr {lr:.3e} "
-                    f"(recon={recon}, lgp={lgp})"
-                )
-            lr = learning_rate(step, total_steps)
-            adam.update(params, grads, lr)
-            recon_sum += recon
-            lgp_sum += lgp
-            step += 1
-        history.append(
-            {
-                "epoch": epoch,
-                "recon": recon_sum / steps_per_epoch,
-                "lgp": lgp_sum / steps_per_epoch,
-                "lr": lr,
-            }
-        )
+    lane = ThreadPoolExecutor(max_workers=1) if _cpus() > 1 else INLINE
+    try:
+        for epoch in range(cfg.epochs):
+            perm = rng.permutation(len(arrays))
+            recon_sum = lgp_sum = 0.0
+            for b in range(steps_per_epoch):
+                batch = [arrays[i] for i in perm[b * BATCH_SIZE : (b + 1) * BATCH_SIZE]]
+                recon, lgp, _ = batch_losses_and_grads(model, batch, cfg, buffers, lane)
+                if not (math.isfinite(recon) and math.isfinite(lgp)):
+                    raise RuntimeError(
+                        f"non-finite loss at epoch {epoch}, last lr {lr:.3e} "
+                        f"(recon={recon}, lgp={lgp})"
+                    )
+                lr = learning_rate(step, total_steps)
+                adam.update(params, grads, lr)
+                recon_sum += recon
+                lgp_sum += lgp
+                step += 1
+            history.append(
+                {
+                    "epoch": epoch,
+                    "recon": recon_sum / steps_per_epoch,
+                    "lgp": lgp_sum / steps_per_epoch,
+                    "lr": lr,
+                }
+            )
+    finally:
+        lane.shutdown()
     model.meta.update(
         {
             "seed": cfg.seed,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +194,16 @@ def test_failed_write_keeps_previous_file(tmp_path, write, good, bad):
         write(p, failing())
     assert p.read_bytes() == before
     assert [q.name for q in tmp_path.iterdir()] == ["out.jsonl"]  # no temporary left
+
+
+def test_import_leaves_out_hashlib():
+    # the temporaries' names come from os.urandom, not secrets, whose
+    # hashlib loads OpenSSL
+    src = str(Path(core.__file__).resolve().parents[1])
+    code = "import sys, tokensort; print('hashlib' in sys.modules, 'secrets' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def _ref_float_list(arr):

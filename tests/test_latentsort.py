@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -491,3 +493,61 @@ def test_train_matches_loop_oracle(tmp_path, monkeypatch):
         save_model(model, tmp_path / "model.json")
         save_model(ref_model, tmp_path / "ref.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def _fake_cpus(monkeypatch, count):
+    """Make train see `count` CPUs: one runs the lane inline, two give it a
+    thread of its own."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_train_on_the_lane_equals_inline(tmp_path, monkeypatch):
+    rng = np.random.default_rng(25)
+    # equal sets, then ragged 4-D sets whose batches hold over a thousand rows
+    corpora = [
+        [TokenSet(rng.uniform(size=(8, 2))) for _ in range(150)],
+        [TokenSet(rng.uniform(size=(int(rng.integers(11, 29)), 4))) for _ in range(100)],
+    ]
+    for k, data in enumerate(corpora):
+        cfg = TrainConfig(epochs=3, lgp_coefficient=0.05, seed=k)
+        runs = []
+        for cpus in (1, 2):
+            _fake_cpus(monkeypatch, cpus)
+            model, hist = train(data, cfg)
+            save_model(model, tmp_path / "model.json")
+            runs.append(((tmp_path / "model.json").read_bytes(), hist))
+        assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_lane_error_propagates_and_no_thread_outlives_train(monkeypatch, cpus):
+    rng = np.random.default_rng(26)
+    data = [TokenSet(rng.uniform(size=(6, 2))) for _ in range(20)]
+    cfg = TrainConfig(epochs=2, hidden_sizes=(8, 8), seed=0)
+    _fake_cpus(monkeypatch, cpus)
+    before = set(threading.enumerate())
+    train(data, cfg)
+    assert set(threading.enumerate()) == before
+
+    ran_on = []
+
+    def failing_lgp(*args):
+        ran_on.append(threading.current_thread())
+        raise ArithmeticError("planted in the LGP")
+
+    monkeypatch.setattr(latentsort, "_lgp_batch", failing_lgp)
+    with pytest.raises(ArithmeticError, match="planted in the LGP"):
+        train(data, cfg)
+    assert (ran_on[0] is threading.main_thread()) == (cpus == 1)
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_non_finite_loss_reports_its_epoch(monkeypatch, cpus):
+    rng = np.random.default_rng(27)
+    data = [TokenSet(rng.choice([-1e200, 1e200], size=(6, 2))) for _ in range(20)]
+    _fake_cpus(monkeypatch, cpus)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="non-finite loss at epoch 0"):
+        train(data, TrainConfig(epochs=2, seed=0))
+    assert set(threading.enumerate()) == before
