@@ -118,14 +118,11 @@ def _check_partition(groups: list[list[int]], m: int) -> None:
     _check_permutation([i for g in groups for i in g], m, "groups")
 
 
-def ambiguity_error(x_star: SortedSequence, groups: list[list[int]], *, check: bool = True) -> float:
+def ambiguity_error(x_star: SortedSequence, groups: list[list[int]]) -> float:
     """Sum over positions of the squared distance between each token and the
-    mean of its ambiguity group. check=False skips the check that groups
-    partition the positions, for groups a caller has checked already (as
-    uniform_ambiguity_P does)."""
+    mean of its ambiguity group."""
     y = x_star.rows
-    if check:
-        _check_partition(groups, y.shape[0])
+    _check_partition(groups, y.shape[0])
     err = 0.0
     for g in groups:
         if len(g) == 1:

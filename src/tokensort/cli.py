@@ -184,9 +184,9 @@ def cmd_analyze(args) -> int:
                     groups_text = singletons[size]
                 else:
                     seq = SortedSequence(corpus.rows[start : start + size])
-                    p = uniform_ambiguity_P(groups, size)  # checks the groups
+                    p = uniform_ambiguity_P(groups, size)
                     validate_probability_matrix(p)
-                    errors = (ambiguity_error(seq, groups, check=False), sorting_error(p, seq))
+                    errors = (ambiguity_error(seq, groups), sorting_error(p, seq))
                     groups_text = _groups_text(groups)
                 fh.write(("[\n" if index == 0 else ",\n") + REPORT_ENTRY % (
                     _json_float(errors[0]), groups_text, index, size, _json_float(errors[1])))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,14 +38,26 @@ HIDDEN_SIZES = (64, 64)
 # ---------------------------------------------------------------------------
 
 
+class _Done:
+    """The result of a call already made; result() hands it back, as a
+    finished Future's does. A Future costs a lock to make, a few
+    microseconds, and each step makes several."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
 class _Inline:
     """A lane (see train) that runs each call at once, on the caller's
-    thread, and hands back its result in a finished Future."""
+    thread."""
 
-    def submit(self, fn, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def submit(self, fn, *args) -> _Done:
+        return _Done(fn(*args))
 
     def shutdown(self) -> None:
         pass
@@ -471,6 +482,23 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
+def _one_blas_thread() -> bool:
+    """Whether numpy's OpenBLAS runs one thread, as the environment tells:
+    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+    (the order OpenBLAS reads them in) that holds a positive count holds 1.
+    With none set, OpenBLAS runs a thread per CPU. OpenBLAS read them when
+    numpy loaded, so a change since then misleads this guess, which only
+    picks the lane (see train), and never the bytes train writes."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            count = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count == 1
+    return False
+
+
 def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     """Train a latent-sort model on a corpus of token sets.
 
@@ -479,15 +507,16 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     the BLAS thread count. Aborts with a diagnostic if the loss turns
     non-finite.
 
-    Where the process may run on two CPUs or more, each step's independent
-    kernels use a second one: a one-worker thread, the lane, runs the LGP
-    beside the decoder's passes and each hidden layer's weight-gradient
-    product beside its input-gradient product (see batch_losses_and_grads
-    and Mlp.backward). On one CPU the lane runs the same calls inline. Every
-    kernel is the same call on the same operands either way, so the model
-    and history are the same bytes. The lane is shut down before train
-    returns or raises. The gain shows with one BLAS thread
-    (OPENBLAS_NUM_THREADS=1), which is also the faster setting without it.
+    Where BLAS runs one thread (OPENBLAS_NUM_THREADS=1, see
+    _one_blas_thread) and the process may run on two CPUs or more, each step's
+    independent kernels use a second one: a one-worker thread, the lane,
+    runs the LGP beside the decoder's passes and each hidden layer's
+    weight-gradient product beside its input-gradient product (see
+    batch_losses_and_grads and Mlp.backward). Otherwise BLAS's own threads
+    fill the CPUs, or there is no second one, and the lane runs the same
+    calls inline: a thread measured slower there. Every kernel is the same
+    call on the same operands either way, so the model and history are the
+    same bytes. The lane is shut down before train returns or raises.
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
@@ -510,7 +539,13 @@ def train(data: list[TokenSet], cfg: TrainConfig | None = None):
     history: list[dict] = []
     step = 0
     lr = 0.0
-    lane = ThreadPoolExecutor(max_workers=1) if _cpus() > 1 else INLINE
+    lane = INLINE
+    if _cpus() > 1 and _one_blas_thread():
+        # imported here: concurrent.futures loads logging, some 3 ms that
+        # only a lane on a thread needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        lane = ThreadPoolExecutor(max_workers=1)
     try:
         for epoch in range(cfg.epochs):
             perm = rng.permutation(len(arrays))

@@ -1,8 +1,6 @@
 """The summary arithmetic of tools/bench_pairs.py, on fabricated run records;
 no benchmark runs here."""
 import importlib.util
-import json
-import os
 import statistics
 from pathlib import Path
 
@@ -111,19 +109,3 @@ def test_operations_attempted_and_failed_share():
     assert (path["base"]["failed_share"], path["head"]["failed_share"]) == (0.01, 0.0)
     assert not path["head_fails_more"]
     assert "sort-analyze" not in out  # its base run printed no result
-
-
-def test_each_run_records_the_load_and_cpus_before_it(tmp_path, monkeypatch):
-    tool = _load_tool()
-    # a stand-in for perfbench/run.py that prints one result line
-    (tmp_path / "perfbench").mkdir()
-    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"round_s": {"value": 0.5}}}
-    (tmp_path / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
-    monkeypatch.setattr(os, "getloadavg", lambda: (1.5, 0.75, 0.25))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    run = tool.run_once(tmp_path, "path-n8", 7, 1.0, 0)
-    assert run == {"loadavg": (1.5, 0.75, 0.25), "affinity_cpus": 3, "exit": 0, "correct": True,
-                   "attempted": 3, "failed": 0, "metrics": {"round_s": 0.5}}
-    (tmp_path / "perfbench" / "run.py").write_text("raise SystemExit(4)\n")
-    run = tool.run_once(tmp_path, "path-n8", 7, 1.0, 0)
-    assert (run["loadavg"], run["affinity_cpus"], run["exit"]) == ((1.5, 0.75, 0.25), 3, 4)

@@ -196,14 +196,16 @@ def test_failed_write_keeps_previous_file(tmp_path, write, good, bad):
     assert [q.name for q in tmp_path.iterdir()] == ["out.jsonl"]  # no temporary left
 
 
-def test_import_leaves_out_hashlib():
+def test_import_leaves_out_hashlib_and_logging():
     # the temporaries' names come from os.urandom, not secrets, whose
-    # hashlib loads OpenSSL
+    # hashlib loads OpenSSL; concurrent.futures, which loads logging, is
+    # imported only when training starts a thread
     src = str(Path(core.__file__).resolve().parents[1])
-    code = "import sys, tokensort; print('hashlib' in sys.modules, 'secrets' in sys.modules)"
+    names = ["hashlib", "secrets", "logging", "concurrent.futures"]
+    code = f"import sys, tokensort.cli; print(*[m in sys.modules for m in {names!r}])"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False"] * len(names)
 
 
 def _ref_float_list(arr):

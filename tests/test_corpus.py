@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tokensort import analysis, core
+from tokensort import core
 from tokensort.analysis import (
     ambiguity_error,
     corpus_ambiguity_sets,
@@ -345,19 +345,6 @@ def test_analyze_report_layout_edge_cases(tmp_path):
         report = _run(tmp_path, "analyze", scheme, infile, None)
         assert report == _ref_analyze_bytes(scheme, sets), scheme
     assert b'"ambiguity_error": Infinity' in _run(tmp_path, "analyze", "mean-squared", infile, None)
-
-
-def test_analyze_checks_each_tied_sets_groups_once(tmp_path, monkeypatch):
-    sets = [np.tile([0.25, 0.5], (3, 1)), np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]),
-            np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), np.eye(2)]
-    infile = tmp_path / "sets.jsonl"
-    write_token_sets(infile, [TokenSet(x) for x in sets])
-    checked = []
-    check = analysis._check_partition
-    monkeypatch.setattr(analysis, "_check_partition", lambda groups, m: checked.append(m) or check(groups, m))
-    report = json.loads(_run(tmp_path, "analyze", "mean-squared", infile, None))
-    tied = [e["set_size"] for e in report if len(e["ambiguity_sets"]) < e["set_size"]]
-    assert tied == [3, 3, 2] and checked == tied  # the set without a tie needs no check
 
 
 @pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 1e-05, 1e16, 1.5e308, 0.1 + 0.2,

@@ -495,10 +495,35 @@ def test_train_matches_loop_oracle(tmp_path, monkeypatch):
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
-def _fake_cpus(monkeypatch, count):
-    """Make train see `count` CPUs: one runs the lane inline, two give it a
-    thread of its own."""
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fake_cpus(monkeypatch, count, blas_threads="1"):
+    """Make train see `count` CPUs and OPENBLAS_NUM_THREADS=blas_threads
+    (unset for None): two CPUs and one BLAS thread give the lane a thread
+    of its own, anything else runs it inline."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+@pytest.mark.parametrize("env,one", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),  # OpenBLAS skips a count of 0
+    ({"OPENBLAS_NUM_THREADS": "many"}, False),
+])
+def test_one_blas_thread_reads_openblas_variables_in_its_order(monkeypatch, env, one):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert latentsort._one_blas_thread() is one
 
 
 def test_train_on_the_lane_equals_inline(tmp_path, monkeypatch):
@@ -519,12 +544,13 @@ def test_train_on_the_lane_equals_inline(tmp_path, monkeypatch):
         assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_lane_error_propagates_and_no_thread_outlives_train(monkeypatch, cpus):
+@pytest.mark.parametrize("cpus,blas_threads,on_thread", [
+    (1, "1", False), (2, "1", True), (2, None, False), (2, "2", False)])
+def test_lane_error_propagates_and_no_thread_outlives_train(monkeypatch, cpus, blas_threads, on_thread):
     rng = np.random.default_rng(26)
     data = [TokenSet(rng.uniform(size=(6, 2))) for _ in range(20)]
     cfg = TrainConfig(epochs=2, hidden_sizes=(8, 8), seed=0)
-    _fake_cpus(monkeypatch, cpus)
+    _fake_cpus(monkeypatch, cpus, blas_threads)
     before = set(threading.enumerate())
     train(data, cfg)
     assert set(threading.enumerate()) == before
@@ -538,7 +564,7 @@ def test_lane_error_propagates_and_no_thread_outlives_train(monkeypatch, cpus):
     monkeypatch.setattr(latentsort, "_lgp_batch", failing_lgp)
     with pytest.raises(ArithmeticError, match="planted in the LGP"):
         train(data, cfg)
-    assert (ran_on[0] is threading.main_thread()) == (cpus == 1)
+    assert (ran_on[0] is not threading.main_thread()) == on_thread
     assert set(threading.enumerate()) == before
 
 

@@ -9,11 +9,9 @@ side is `--head REV`, or else the tracked files of the working tree as
 `git stash create` commits them, without touching the tree or the index;
 untracked files are left out. Pair i runs `python3 perfbench/run.py` on both
 sides with seed first-seed + i, base first in even pairs and second in odd
-ones, one run at a time. Only the last line of each run's output is read:
-perfbench's JSON result. Each run's record also holds the load average and
-the number of CPUs the process may run on, read just before the run. The
-output file holds every run, and per workload and metric the median and
-quartiles of each side and how many pairs the head side won,
+ones, one run at a time. Only the last line of each run's output is read: perfbench's JSON
+result. The output file holds every run, and per workload and metric the
+median and quartiles of each side and how many pairs the head side won,
 ties counting for neither, with the environment the runs shared. Each
 end-to-end metric is also checked against its bound in BENCHMARK.json, a
 fraction of the base median: `beyond_bound` when the head median is worse
@@ -60,20 +58,17 @@ def working_tree_commit() -> str:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in `tree`; its JSON result line, or the failure,
-    with the load average and the CPUs this process may run on, read just
-    before the run: a gain from a second core shows only when it is free."""
+    """One perfbench run in `tree`; its JSON result line, or the failure."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    before = {"loadavg": os.getloadavg(), "affinity_cpus": len(os.sched_getaffinity(0))}
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {**before, "exit": proc.returncode, "error": proc.stderr[-2000:]}
-    return {**before, "exit": proc.returncode, "correct": result["correct"], "attempted": result["attempted"],
+        return {"exit": proc.returncode, "error": proc.stderr[-2000:]}
+    return {"exit": proc.returncode, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
